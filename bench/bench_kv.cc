@@ -180,6 +180,10 @@ int main(int argc, char** argv) {
   harness::InitBench(argc, argv);
   auto& results = harness::Results();
   bool integrity_ok = true;
+  // Injected media faults (--faults) retire a zone of sweep 4's tight
+  // budget at a different point of each run, so its A/B is no longer
+  // like for like: only a healthy device gates placement.
+  const bool gate_placement = !harness::BenchEnv::Get().faults_requested();
 
   const workload::YcsbSpec base = BaseSpec();
   results.Config("profile", "tiny-32z");
@@ -341,9 +345,11 @@ int main(int argc, char** argv) {
         "  so reclamation relocates less (>= 1.0 gates CI, as does\n"
         "  relocated[on] <= relocated[off])\n",
         placement_ratio);
-    integrity_ok = integrity_ok && placement_ratio >= 1.0;
-    integrity_ok = integrity_ok && sweep[0].stats.gc_relocated_bytes <=
-                                       sweep[1].stats.gc_relocated_bytes;
+    if (gate_placement) {
+      integrity_ok = integrity_ok && placement_ratio >= 1.0;
+      integrity_ok = integrity_ok && sweep[0].stats.gc_relocated_bytes <=
+                                         sweep[1].stats.gc_relocated_bytes;
+    }
   }
 
   harness::Banner(
@@ -431,14 +437,17 @@ int main(int argc, char** argv) {
     t.Print();
     std::printf(
         "  the crash tears the open compaction output and the WAL tail;\n"
-        "  recovery drops non-durable tables, replays the WAL, and\n"
+        "  the compaction reruns, recovery replays the WAL and\n"
         "  re-verifies every surviving tag — 'silent' != 0 fails CI\n");
     integrity_ok = integrity_ok && point_ok;
   }
 
   std::printf("\nintegrity: %s\n",
-              integrity_ok
+              !integrity_ok
+                  ? "FAIL — placement regressed or corruption detected"
+              : gate_placement
                   ? "PASS (placement ratio >= 1, no silent corruption)"
-                  : "FAIL — placement regressed or corruption detected");
+                  : "PASS (no silent corruption; placement not gated "
+                    "under --faults)");
   return integrity_ok ? 0 : 1;
 }

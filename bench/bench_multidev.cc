@@ -116,18 +116,18 @@ ScalePoint RunScalePoint(std::uint32_t ndev, std::uint32_t per_device_qd) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  harness::InitBench(argc, argv);
+  harness::InitBench(argc, argv, "[--devices=N]");
   for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], "--devices=", 10) == 0) {
-      char* end = nullptr;
-      long n = std::strtol(argv[i] + 10, &end, 10);
-      if (end == argv[i] + 10 || *end != '\0' || n < 1) {
-        std::fprintf(stderr, "error: bad --devices value: %s\n",
-                     argv[i] + 10);
-        return 2;
-      }
-      kDevices = {static_cast<std::uint32_t>(n)};
+    if (std::strncmp(argv[i], "--devices=", 10) != 0) {
+      harness::UsageError(std::string("unknown argument: ") + argv[i]);
     }
+    char* end = nullptr;
+    long n = std::strtol(argv[i] + 10, &end, 10);
+    if (end == argv[i] + 10 || *end != '\0' || n < 1) {
+      harness::UsageError(std::string("bad --devices value: ") +
+                          (argv[i] + 10));
+    }
+    kDevices = {static_cast<std::uint32_t>(n)};
   }
   auto& results = harness::Results();
   results.Config("profile", "ZN540");

@@ -339,7 +339,8 @@ void RunCounterSection(double min_seconds) {
 // the self-timed counter section, so its schema stays uniform across
 // benches while BENCH_simcore.json doubles as a regression baseline.
 int main(int argc, char** argv) {
-  zstor::harness::InitBench(argc, argv);
+  zstor::harness::InitBench(argc, argv,
+                            "[--counter_min_time=S] [--benchmark_*...]");
   // `--counter_min_time=SECONDS` sizes the self-timed section (default
   // 0.3 s per loop); strip it before google-benchmark sees it.
   double counter_min_time = 0.3;

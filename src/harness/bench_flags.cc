@@ -46,7 +46,23 @@ bool ParseDuration(const char* s, sim::Time* out) {
   return *out > 0;
 }
 
+/// The bench's own flags for the usage line (InitBench's `own_flags`).
+const char* g_own_flags = nullptr;
+
 }  // namespace
+
+void UsageError(const std::string& what) {
+  std::fprintf(stderr,
+               "error: %s\n"
+               "usage: %s [--json=FILE] [--metrics=FILE] [--logpages=FILE]"
+               " [--trace=FILE] [--timeline=FILE] [--sample-interval=DUR]"
+               " [--faults=SPEC] [--jobs=N] [--sim-threads=N]%s%s\n",
+               what.c_str(), BenchEnv::Get().results().bench().c_str(),
+               g_own_flags != nullptr ? " " : "",
+               g_own_flags != nullptr ? g_own_flags : "");
+  BenchEnv::Get().finished_ = true;  // a rejected run writes no outputs
+  std::exit(2);
+}
 
 BenchEnv& BenchEnv::Get() {
   static BenchEnv env;
@@ -150,7 +166,7 @@ void BenchEnv::Finish() {
 
 void FinishBench() { BenchEnv::Get().Finish(); }
 
-void InitBench(int& argc, char** argv) {
+void InitBench(int& argc, char** argv, const char* own_flags) {
   // Construct the singleton BEFORE registering the atexit hook: local
   // statics are destroyed in reverse construction order interleaved with
   // atexit handlers, so the hook must be the later registration or it
@@ -182,38 +198,46 @@ void InitBench(int& argc, char** argv) {
       env.timeline_path_ = tl;
     } else if (const char* si = MatchFlag(argv[i], "--sample-interval")) {
       if (!ParseDuration(si, &env.sample_interval_)) {
-        std::fprintf(stderr, "error: bad --sample-interval value: %s\n", si);
-        std::exit(2);
+        UsageError(std::string("bad --sample-interval value: ") + si);
       }
     } else if (const char* fs = MatchFlag(argv[i], "--faults")) {
       std::string error;
       if (!fault::ParseFaultSpec(fs, &env.fault_spec_, &error)) {
-        std::fprintf(stderr, "error: bad --faults spec: %s\n",
-                     error.c_str());
-        std::exit(2);
+        UsageError("bad --faults spec: " + error);
       }
     } else if (const char* jb = MatchFlag(argv[i], "--jobs")) {
       char* end = nullptr;
       long n = std::strtol(jb, &end, 10);
       if (end == jb || *end != '\0' || n < 0) {
-        std::fprintf(stderr, "error: bad --jobs value: %s\n", jb);
-        std::exit(2);
+        UsageError(std::string("bad --jobs value: ") + jb);
       }
       env.jobs_ = static_cast<int>(n);
     } else if (const char* st = MatchFlag(argv[i], "--sim-threads")) {
       char* end = nullptr;
       long n = std::strtol(st, &end, 10);
       if (end == st || *end != '\0' || n < 0) {
-        std::fprintf(stderr, "error: bad --sim-threads value: %s\n", st);
-        std::exit(2);
+        UsageError(std::string("bad --sim-threads value: ") + st);
       }
       env.sim_threads_ = static_cast<int>(n);
-    } else {
+    } else if (own_flags != nullptr) {
       argv[out++] = argv[i];
+    } else {
+      UsageError(std::string("unknown argument: ") + argv[i]);
     }
   }
   argc = out;
   argv[argc] = nullptr;
+  g_own_flags = own_flags;
+  // Output files are written at exit (or lazily, for the trace and the
+  // timeline); an unwritable path must fail now, not after the run.
+  for (const std::string* path :
+       {&env.json_path_, &env.metrics_path_, &env.logpages_path_,
+        &env.trace_path_, &env.timeline_path_}) {
+    if (path->empty()) continue;
+    std::FILE* f = std::fopen(path->c_str(), "w");
+    if (f == nullptr) UsageError("cannot open output file " + *path);
+    std::fclose(f);
+  }
 }
 
 }  // namespace zstor::harness

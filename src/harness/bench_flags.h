@@ -38,7 +38,11 @@
 //                    points fan out across jobs, devices across sim
 //                    threads within each point.
 //
-// and leaves the rest of argv untouched for the bench's own parsing.
+// and rejects everything else: an unknown argument (including --help),
+// a malformed value, or an output FILE that cannot be opened for writing
+// exits with status 2 and a usage line before the bench runs. A bench
+// with flags of its own passes them in `own_flags`; InitBench then
+// leaves the rest of argv for the bench's own parsing.
 // Testbeds built without an explicit TelemetryConfig pick these up
 // automatically (see testbed.h), so `bench_fig2_latency --trace=t.jsonl`
 // traces every experiment the bench runs with zero per-bench code.
@@ -60,7 +64,13 @@ namespace zstor::harness {
 /// Parses and removes the shared flags from argv; registers an atexit
 /// hook that flushes the shared sink and writes the output files. Safe to
 /// call once per process (subsequent calls only re-parse flags).
-void InitBench(int& argc, char** argv);
+/// `own_flags` (e.g. "[--devices=N]") names the bench's own flags for the
+/// usage line; when null, any argument left over is a usage error.
+void InitBench(int& argc, char** argv, const char* own_flags = nullptr);
+
+/// Prints "error: WHAT" and the bench's usage line to stderr, then exits
+/// with status 2. For benches rejecting their own flags' bad input.
+[[noreturn]] void UsageError(const std::string& what);
 
 /// Flushes the shared trace sink and writes the output files. Idempotent;
 /// runs automatically at exit after InitBench().
@@ -129,7 +139,8 @@ class BenchEnv {
   void Finish();
 
  private:
-  friend void InitBench(int& argc, char** argv);
+  friend void InitBench(int& argc, char** argv, const char* own_flags);
+  friend void UsageError(const std::string& what);
 
   std::string trace_path_;
   std::string metrics_path_;

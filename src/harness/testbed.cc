@@ -2,9 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
-#include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <utility>
 
 #include "harness/bench_flags.h"
@@ -233,12 +231,16 @@ nvme::Controller& Testbed::controller() {
 
 void Testbed::FillZones(std::uint32_t first, std::uint32_t count) {
   ZSTOR_CHECK_MSG(!zns_devs_.empty(), "FillZones needs a ZNS testbed");
-  const auto n = static_cast<std::uint32_t>(zns_devs_.size());
+  const hostif::StripeMap map = ZnsStripeMap();
   for (std::uint32_t z = first; z < first + count; ++z) {
-    // Same map as the stripe: logical zone z lives on device z % n.
-    zns::ZnsDevice& dev = *zns_devs_[z % n];
-    dev.DebugFillZone(z / n, dev.profile().zone_cap_bytes);
+    zns::ZnsDevice& dev = *zns_devs_[map.DeviceOf(z)];
+    dev.DebugFillZone(map.DeviceZoneOf(z), dev.profile().zone_cap_bytes);
   }
+}
+
+hostif::StripeMap Testbed::ZnsStripeMap() const {
+  return {zns_devs_.front()->info().zone_size_lbas,
+          static_cast<std::uint32_t>(zns_devs_.size())};
 }
 
 std::vector<std::uint32_t> Testbed::ZoneList(std::uint32_t first,
@@ -294,18 +296,7 @@ std::vector<workload::JobResult> Testbed::RunJobs(
 
 workload::JobResult Testbed::RunSharded(const workload::JobSpec& spec) {
   std::vector<std::unique_ptr<workload::Job>> parts = StartSharded(spec);
-  const auto t0 = std::chrono::steady_clock::now();
   psim_->Run(static_cast<unsigned>(sim_threads_));
-  if (std::getenv("ZSTOR_PSIM_DEBUG") != nullptr) {
-    std::chrono::duration<double, std::milli> ms =
-        std::chrono::steady_clock::now() - t0;
-    std::fprintf(stderr,
-                 "psim: parts=%zu windows=%llu messages=%llu run_ms=%.1f\n",
-                 parts.size(),
-                 static_cast<unsigned long long>(psim_->windows()),
-                 static_cast<unsigned long long>(psim_->messages()),
-                 ms.count());
-  }
   return JoinSharded(parts);
 }
 
@@ -416,11 +407,9 @@ nvme::SmartLog Testbed::Smart() const {
 nvme::ZoneReportLog Testbed::ZoneReport() const {
   ZSTOR_CHECK_MSG(!zns_devs_.empty(), "ZoneReport needs a ZNS testbed");
   if (zns_devs_.size() == 1) return zns_devs_.front()->GetZoneReportLog();
-  const auto n = static_cast<std::uint32_t>(zns_devs_.size());
-  const std::uint64_t zone_size_lbas =
-      zns_devs_.front()->info().zone_size_lbas;
+  const hostif::StripeMap map = ZnsStripeMap();
   std::vector<nvme::ZoneReportLog> per_dev;
-  per_dev.reserve(n);
+  per_dev.reserve(map.num_devices);
   nvme::ZoneReportLog agg;
   for (const auto& dev : zns_devs_) {
     per_dev.push_back(dev->GetZoneReportLog());
@@ -435,11 +424,11 @@ nvme::ZoneReportLog Testbed::ZoneReport() const {
   }
   agg.zones.reserve(agg.num_zones);
   for (std::uint32_t lz = 0; lz < agg.num_zones; ++lz) {
-    nvme::ZoneReportEntry e = per_dev[lz % n].zones[lz / n];
-    const std::uint64_t dev_zslba = e.zslba;
+    nvme::ZoneReportEntry e =
+        per_dev[map.DeviceOf(lz)].zones[map.DeviceZoneOf(lz)];
     e.zone = lz;
-    e.zslba = static_cast<std::uint64_t>(lz) * zone_size_lbas;
-    e.write_pointer = e.zslba + (e.write_pointer - dev_zslba);
+    e.write_pointer = map.ToLogicalWritePointer(lz, e.zslba, e.write_pointer);
+    e.zslba = map.ZoneStartLba(lz);
     agg.zones.push_back(std::move(e));
   }
   return agg;

@@ -251,6 +251,8 @@ class Testbed {
   bool logpages_to_env_ = false;
   bool finished_ = false;
 
+  /// The stripe map over the ZNS device set (one device: identity).
+  hostif::StripeMap ZnsStripeMap() const;
   workload::JobResult RunSharded(const workload::JobSpec& spec);
   std::vector<std::unique_ptr<workload::Job>> StartSharded(
       const workload::JobSpec& spec);

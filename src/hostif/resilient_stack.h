@@ -25,11 +25,11 @@
 //     some prefix of its effects durable. For zone appends the blind
 //     re-issue would be wrong twice over: if the append actually landed
 //     before the cut, retrying duplicates it. The stack therefore keeps a
-//     per-zone expected-write-pointer cache (valid under the one
-//     in-flight-append-per-zone discipline zobj and the bench harness
-//     follow) and, before retrying, re-reads the zone's recovered write
-//     pointer: if it already advanced past the append, the attempt is
-//     settled as a success at the remembered LBA (`replayed_dupes`)
+//     per-zone expected-write-pointer cache (valid while the caller
+//     keeps at most one append in flight per zone, as the crash bench's
+//     workloads do) and, before retrying, re-reads the zone's recovered
+//     write pointer: if it already advanced past the append, the attempt
+//     is settled as a success at the remembered LBA (`replayed_dupes`)
 //     instead of being re-driven.
 //
 // All attempts share one trace id, so a traced command shows its full
@@ -310,7 +310,7 @@ class ResilientStack : public Stack {
   /// zone's write pointer. Returns the landing LBA if the lost append is
   /// provably durable (wp advanced exactly past it), nullopt otherwise.
   /// Sound only while the caller keeps at most one append in flight per
-  /// zone — the discipline zobj and the crash benches follow.
+  /// zone — the discipline the crash bench's workloads follow.
   sim::Task<std::optional<nvme::Lba>> TryAppendReplay(nvme::Command cmd) {
     const nvme::NamespaceInfo& ni = inner_.info();
     if (!ni.zoned || ni.zone_size_lbas == 0) co_return std::nullopt;

@@ -1,9 +1,11 @@
 // The zone-granular RAID-0 address map shared by every striping layer.
 //
 // StripedStack (the classic single-simulator scale-out), MailboxStack
-// and StripeLaneView (the parallel-engine split of the same namespace)
-// must all agree on how logical zones land on devices — extracting the
-// arithmetic into one value type keeps them provably consistent:
+// and StripeLaneView (the parallel-engine split of the same namespace),
+// and the Testbed's direct device access (zone prefill, aggregated zone
+// reports) must all agree on how logical zones land on devices —
+// extracting the arithmetic into one value type keeps them provably
+// consistent:
 //
 //   logical zone z  ->  device z % N, device zone z / N
 #pragma once
@@ -21,6 +23,10 @@ struct StripeMap {
   std::uint32_t LogicalZoneOf(nvme::Lba lba) const {
     return static_cast<std::uint32_t>(lba / zone_size_lbas);
   }
+  /// First LBA of logical zone `lz`.
+  nvme::Lba ZoneStartLba(std::uint32_t lz) const {
+    return nvme::Lba{lz} * zone_size_lbas;
+  }
   /// Device index serving logical zone `lz`.
   std::uint32_t DeviceOf(std::uint32_t lz) const { return lz % num_devices; }
   /// The zone index `lz` maps to on its device.
@@ -30,7 +36,7 @@ struct StripeMap {
   /// Logical LBA -> LBA in DeviceOf(zone)'s address space.
   nvme::Lba ToDeviceLba(nvme::Lba logical) const {
     const std::uint32_t lz = LogicalZoneOf(logical);
-    const nvme::Lba offset = logical - nvme::Lba{lz} * zone_size_lbas;
+    const nvme::Lba offset = logical - ZoneStartLba(lz);
     return nvme::Lba{DeviceZoneOf(lz)} * zone_size_lbas + offset;
   }
   /// Device-space LBA on device `d` -> logical LBA (inverse of the
@@ -40,7 +46,15 @@ struct StripeMap {
         static_cast<std::uint32_t>(device_lba / zone_size_lbas);
     const nvme::Lba offset = device_lba - nvme::Lba{dz} * zone_size_lbas;
     const std::uint32_t lz = dz * num_devices + d;
-    return nvme::Lba{lz} * zone_size_lbas + offset;
+    return ZoneStartLba(lz) + offset;
+  }
+  /// Re-bases a device zone's write pointer onto logical zone `lz`, which
+  /// that device zone (starting at `device_zslba`) serves. Offset-based
+  /// on purpose: a full zone's write pointer may sit at the zone end,
+  /// which ToLogicalLba would attribute to the next device zone.
+  nvme::Lba ToLogicalWritePointer(std::uint32_t lz, nvme::Lba device_zslba,
+                                  nvme::Lba device_wp) const {
+    return ZoneStartLba(lz) + (device_wp - device_zslba);
   }
 };
 

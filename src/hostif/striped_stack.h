@@ -152,34 +152,15 @@ class StripedStack : public Stack {
   const Stack& lane(std::size_t d) const { return *lanes_[d]; }
   const StripeStats& stats() const { return stats_; }
 
-  // --- the address map (stripe_map.h), exposed for tests and the
-  // Testbed; the parallel engine's StripeLaneView shares the same math.
-
+  /// The address map (stripe_map.h); the parallel engine's
+  /// StripeLaneView and the Testbed share the same math.
   const StripeMap& map() const { return map_; }
-  std::uint32_t LogicalZoneOf(nvme::Lba lba) const {
-    return map_.LogicalZoneOf(lba);
-  }
-  /// Device index serving logical zone `lz`.
-  std::uint32_t DeviceOf(std::uint32_t lz) const { return map_.DeviceOf(lz); }
-  /// The zone index `lz` maps to on its device.
-  std::uint32_t DeviceZoneOf(std::uint32_t lz) const {
-    return map_.DeviceZoneOf(lz);
-  }
-  /// Logical LBA -> LBA in DeviceOf(zone)'s address space.
-  nvme::Lba ToDeviceLba(nvme::Lba logical) const {
-    return map_.ToDeviceLba(logical);
-  }
-  /// Device-space LBA on device `d` -> logical LBA (inverse of the above;
-  /// used to translate append result LBAs and report entries back).
-  nvme::Lba ToLogicalLba(std::uint32_t d, nvme::Lba device_lba) const {
-    return map_.ToLogicalLba(d, device_lba);
-  }
 
  private:
   sim::Task<nvme::TimedCompletion> RouteOne(nvme::Command cmd,
                                             telemetry::Tracer* tr) {
-    const std::uint32_t lz = LogicalZoneOf(cmd.slba);
-    const nvme::Lba offset = cmd.slba - nvme::Lba{lz} * info_.zone_size_lbas;
+    const std::uint32_t lz = map_.LogicalZoneOf(cmd.slba);
+    const nvme::Lba offset = cmd.slba - map_.ZoneStartLba(lz);
     nvme::TimedCompletion tc;
     if (offset + cmd.nlb > info_.zone_size_lbas) {
       // In a single-device namespace this I/O would reach the controller
@@ -192,14 +173,14 @@ class StripedStack : public Stack {
       tc.completed = sim_.now();
       co_return tc;
     }
-    const std::uint32_t d = DeviceOf(lz);
+    const std::uint32_t d = map_.DeviceOf(lz);
     if (tr != nullptr) {
       tr->Instant(sim_.now(), cmd.trace_id, telemetry::Layer::kHost,
                   "stripe.route", static_cast<std::int64_t>(d),
                   static_cast<std::int64_t>(lz));
     }
     nvme::Command routed = cmd;
-    routed.slba = ToDeviceLba(cmd.slba);
+    routed.slba = map_.ToDeviceLba(cmd.slba);
     LaneStats& ls = stats_.lanes[d];
     ls.issued++;
     ls.in_flight++;
@@ -209,7 +190,8 @@ class StripedStack : public Stack {
     ls.completed++;
     if (!tc.completion.ok()) ls.errors++;
     if (cmd.opcode == nvme::Opcode::kAppend && tc.completion.ok()) {
-      tc.completion.result_lba = ToLogicalLba(d, tc.completion.result_lba);
+      tc.completion.result_lba =
+          map_.ToLogicalLba(d, tc.completion.result_lba);
     }
     co_return tc;
   }
@@ -275,19 +257,19 @@ class StripedStack : public Stack {
       }
     }
     if (tc.completion.ok()) {
-      const std::uint32_t first_lz = LogicalZoneOf(cmd.slba);
+      const std::uint32_t first_lz = map_.LogicalZoneOf(cmd.slba);
       for (std::uint32_t lz = first_lz; lz < info_.num_zones; ++lz) {
         if (cmd.report_max != 0 &&
             tc.completion.report.size() >= cmd.report_max) {
           break;
         }
-        const std::uint32_t d = DeviceOf(lz);
-        const std::uint32_t dz = DeviceZoneOf(lz);
+        const std::uint32_t d = map_.DeviceOf(lz);
+        const std::uint32_t dz = map_.DeviceZoneOf(lz);
         ZSTOR_CHECK(dz < legs[d].completion.report.size());
         nvme::ZoneDescriptor desc = legs[d].completion.report[dz];
-        const nvme::Lba dev_zslba = desc.zslba;
-        desc.zslba = nvme::Lba{lz} * info_.zone_size_lbas;
-        desc.write_pointer = desc.zslba + (desc.write_pointer - dev_zslba);
+        desc.write_pointer =
+            map_.ToLogicalWritePointer(lz, desc.zslba, desc.write_pointer);
+        desc.zslba = map_.ZoneStartLba(lz);
         tc.completion.report.push_back(desc);
       }
     }

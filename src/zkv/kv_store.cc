@@ -76,11 +76,16 @@ KvStore::KvStore(sim::Simulator& s, hostif::Stack& stack, Options opt)
   // check also rotates early, but the shape should be sane up front).
   ZSTOR_CHECK_MSG(opt_.memtable_bytes * 2 <= zone_cap_lbas() * lba_bytes_,
                   "memtable_bytes too large for one WAL segment");
-  zones_.resize(opt_.zone_count - 2);
-  for (std::uint32_t z = opt_.first_zone + 2;
+  zones_.resize(opt_.zone_count);
+  for (std::uint32_t z = opt_.first_zone;
        z < opt_.first_zone + opt_.zone_count; ++z) {
     zones_[ZoneIndex(z)].zone = z;
-    free_zones_.push_back(z);
+    if (z < opt_.first_zone + 2) {
+      zones_[ZoneIndex(z)].wal = true;
+      wal_zone_[z - opt_.first_zone] = z;
+    } else {
+      free_zones_.push_back(z);
+    }
   }
   levels_.resize(opt_.max_levels);
   levels_stats_.resize(opt_.max_levels);
@@ -88,9 +93,18 @@ KvStore::KvStore(sim::Simulator& s, hostif::Stack& stack, Options opt)
 
 KvStore::~KvStore() { stopping_ = true; }
 
+bool KvStore::IsZoneDegraded(Status s) {
+  // A program failure is reported once as kWriteFault, then by the
+  // zone's ReadOnly/Offline state; resetting such a zone is an invalid
+  // state transition.
+  return s == Status::kWriteFault || s == Status::kZoneIsReadOnly ||
+         s == Status::kZoneIsOffline ||
+         s == Status::kZoneInvalidStateTransition;
+}
+
 bool KvStore::IsZoneWriteFailure(Status s) {
-  return s == Status::kZoneIsFull || s == Status::kZoneIsReadOnly ||
-         s == Status::kZoneIsOffline || s == Status::kTooManyActiveZones ||
+  return IsZoneDegraded(s) || s == Status::kZoneIsFull ||
+         s == Status::kTooManyActiveZones ||
          s == Status::kTooManyOpenZones || s == Status::kWriteProhibited ||
          s == Status::kZoneInvalidWrite;
 }
@@ -205,18 +219,66 @@ sim::Task<Status> KvStore::PutInternal(std::uint64_t key, std::uint64_t bytes,
 }
 
 sim::Task<Status> KvStore::WalAppend(WalRecord& rec) {
-  auto tc = co_await stack_.Submit(
-      {.opcode = Opcode::kAppend,
-       .slba = ZoneStartLba(opt_.first_zone + rec.segment),
-       .nlb = rec.lbas,
-       .payload_tag = rec.tag_base});
+  std::uint32_t zone = wal_zone_[rec.segment];
+  auto tc = co_await stack_.Submit({.opcode = Opcode::kAppend,
+                                    .slba = ZoneStartLba(zone),
+                                    .nlb = rec.lbas,
+                                    .payload_tag = rec.tag_base});
+  while (IsZoneDegraded(tc.completion.status)) {
+    // The segment's zone degraded: move the segment and re-log there.
+    co_await ReplaceWalZone(rec.segment, zone);
+    zone = wal_zone_[rec.segment];
+    tc = co_await stack_.Submit({.opcode = Opcode::kAppend,
+                                 .slba = ZoneStartLba(zone),
+                                 .nlb = rec.lbas,
+                                 .payload_tag = rec.tag_base});
+  }
   if (!tc.completion.ok()) co_return tc.completion.status;
   rec.acked = true;
+  rec.zone = zone;
   rec.lba = tc.completion.result_lba;
   rec.epoch = Epoch();
   stats_.wal_appends++;
   stats_.wal_bytes += static_cast<std::uint64_t>(rec.lbas) * lba_bytes_;
   co_return Status::kSuccess;
+}
+
+sim::Task<> KvStore::ReplaceWalZone(std::uint8_t seg, std::uint32_t failed) {
+  while (wal_zone_[seg] == failed) {
+    if (free_zones_.empty()) {
+      co_await ReclaimZones(/*need_free=*/true);
+      continue;
+    }
+    ZoneInfo& old = zones_[ZoneIndex(failed)];
+    old.wal = false;
+    old.degraded = true;
+    const std::uint32_t zone = free_zones_.front();
+    free_zones_.pop_front();
+    ZoneInfo& zi = zones_[ZoneIndex(zone)];
+    ZSTOR_CHECK(zi.written_lbas == 0 && zi.live_lbas == 0);
+    zi.wal = true;
+    wal_zone_[seg] = zone;
+  }
+}
+
+sim::Task<> KvStore::ResetWalSegment(std::uint8_t seg) {
+  for (int attempt = 0; attempt < 50; ++attempt) {
+    const std::uint32_t zone = wal_zone_[seg];
+    auto rc = co_await stack_.Submit({.opcode = Opcode::kZoneMgmtSend,
+                                      .slba = ZoneStartLba(zone),
+                                      .zone_action = ZoneAction::kReset});
+    if (rc.completion.ok()) break;
+    if (IsZoneDegraded(rc.completion.status)) {
+      // A degraded zone cannot be reset: restart the segment in an
+      // empty zone instead.
+      co_await ReplaceWalZone(seg, zone);
+      break;
+    }
+    ZSTOR_CHECK_MSG(attempt < 49, "WAL segment reset kept failing");
+    co_await sim_.Delay(sim::Microseconds(500));
+  }
+  wal_used_lbas_[seg] = 0;
+  stats_.wal_resets++;
 }
 
 void KvStore::MaybeRotateMemtable() {
@@ -255,41 +317,34 @@ sim::Task<> KvStore::FlushJob() {
     }
     TablePtr t;
     co_await BuildTable(std::move(entries), 0, /*paced=*/false, &t);
-    if (t->write_failed) {
-      // Appends outran the retry budget (a power outage in progress).
-      // Drop the partial table and retry: the data is still in imm_ and
-      // its WAL segment, so nothing is lost yet.
+    bool durable = false;
+    if (!t->write_failed) {
+      stats_.flush_bytes +=
+          static_cast<std::uint64_t>(t->data_lbas) * lba_bytes_;
+      auto fc = co_await stack_.Submit({.opcode = Opcode::kFlush});
+      durable = fc.completion.ok() && Epoch() == t->write_epoch;
+    }
+    if (!durable) {
+      // Appends outran the retry budget (a power outage in progress), or
+      // the barrier could not certify them (a program failure lost
+      // buffered data, or power was lost). Drop the table and redo the
+      // flush: the data is still in imm_ and its WAL segment, so nothing
+      // is lost yet.
       DropTable(t);
       co_await sim_.Delay(sim::Microseconds(500));
       continue;
     }
-    stats_.flush_bytes +=
-        static_cast<std::uint64_t>(t->data_lbas) * lba_bytes_;
-    auto fc = co_await stack_.Submit({.opcode = Opcode::kFlush});
-    t->durable = fc.completion.ok() && Epoch() == t->write_epoch;
-    if (t->durable) {
-      // WAL checkpoint: the flushed generation's records are durable in
-      // the SSTable; quiesce in-flight appends to the segment, then
-      // reset it for the generation after next.
-      const std::uint8_t seg = imm_segment_;
-      for (WalRecord& r : wal_) {
-        if (r.seq < imm_last_seq_) r.durable = true;
-      }
-      while (wal_pending_[seg] > 0) co_await wal_quiet_.Wait();
-      for (int attempt = 0; attempt < 50; ++attempt) {
-        auto rc = co_await stack_.Submit(
-            {.opcode = Opcode::kZoneMgmtSend,
-             .slba = ZoneStartLba(opt_.first_zone + seg),
-             .zone_action = ZoneAction::kReset});
-        if (rc.completion.ok()) break;
-        ZSTOR_CHECK_MSG(attempt < 49, "WAL segment reset kept failing");
-        co_await sim_.Delay(sim::Microseconds(500));
-      }
-      wal_used_lbas_[seg] = 0;
-      stats_.wal_resets++;
-      while (!wal_.empty() && wal_.front().seq < imm_last_seq_) {
-        wal_.pop_front();
-      }
+    // WAL checkpoint: the flushed generation's records are durable in
+    // the SSTable; quiesce in-flight appends to the segment, then reset
+    // it for the generation after next.
+    const std::uint8_t seg = imm_segment_;
+    for (WalRecord& r : wal_) {
+      if (r.seq < imm_last_seq_) r.durable = true;
+    }
+    while (wal_pending_[seg] > 0) co_await wal_quiet_.Wait();
+    co_await ResetWalSegment(seg);
+    while (!wal_.empty() && wal_.front().seq < imm_last_seq_) {
+      wal_.pop_front();
     }
     InstallTable(t, 0);
     imm_.reset();
@@ -396,6 +451,7 @@ sim::Task<KvStore::Extent> KvStore::AppendChunk(ZoneClass cls,
       // crash rollback): poison it and reroute to a fresh zone.
       zi.written_lbas = zone_cap_lbas();
       zi.open = false;
+      zi.degraded = zi.degraded || IsZoneDegraded(st);
       if (open_zone_[ci] == static_cast<std::int64_t>(zone)) {
         open_zone_[ci] = -1;
       }
@@ -428,10 +484,12 @@ sim::Task<> KvStore::ResetZone(std::uint32_t zone) {
                                     .zone_action = ZoneAction::kReset});
   ZoneInfo& zi = zones_[ZoneIndex(zone)];
   if (!tc.completion.ok()) {
-    // Leave the zone sealed-and-dead; a later reclaim pass retries.
+    // Leave the zone sealed-and-dead; a later reclaim pass retries,
+    // unless the zone degraded (it is never reset again).
     zi.written_lbas = zone_cap_lbas();
     zi.live_lbas = 0;
     zi.open = false;
+    zi.degraded = zi.degraded || IsZoneDegraded(tc.completion.status);
     co_return;
   }
   zi.written_lbas = 0;
@@ -446,10 +504,8 @@ sim::Task<> KvStore::ResetZone(std::uint32_t zone) {
 // ---------------------------------------------------------------------------
 
 void KvStore::MaybeScheduleReclaim() {
-  const bool dead_zone = std::any_of(
-      zones_.begin(), zones_.end(), [&](const ZoneInfo& z) {
-        return !z.open && z.written_lbas > 0 && z.live_lbas == 0;
-      });
+  const bool dead_zone =
+      std::any_of(zones_.begin(), zones_.end(), IsDeadZone);
   const bool low = free_zones_.size() < opt_.free_zone_low;
   if (!dead_zone && !low) return;
   if (gc_busy_) return;
@@ -477,7 +533,7 @@ sim::Task<> KvStore::ReclaimZones(bool need_free) {
     // common exit.
     bool reset_any = false;
     for (ZoneInfo& zi : zones_) {
-      if (!zi.open && zi.written_lbas > 0 && zi.live_lbas == 0) {
+      if (IsDeadZone(zi)) {
         co_await ResetZone(zi.zone);
         reset_any = true;
       }
@@ -493,8 +549,10 @@ sim::Task<> KvStore::ReclaimZones(bool need_free) {
       const ZoneInfo& zi = zones_[i];
       // Any sealed, non-empty zone is a candidate (a partially-written
       // sealed zone — e.g. left behind by crash recovery — still pins
-      // its live data).
-      if (zi.open || zi.written_lbas == 0) continue;
+      // its live data). A degraded zone is not: it cannot be reset.
+      if (zi.open || zi.wal || zi.degraded || zi.written_lbas == 0) {
+        continue;
+      }
       const double garbage = ZoneGarbage(zi);
       if (garbage >= best) {
         best = garbage;
@@ -623,6 +681,7 @@ sim::Task<KvStore::Extent> KvStore::RelocAppend(std::uint32_t lbas,
     zi.live_lbas -= take;
     zi.written_lbas = zone_cap_lbas();
     zi.open = false;
+    zi.degraded = zi.degraded || IsZoneDegraded(tc.completion.status);
     reloc_zone_ = -1;
   }
   co_return Extent{0, 0, 0, tag_base};
@@ -780,20 +839,26 @@ sim::Task<> KvStore::RunCompaction(CompactionJob job) {
     bytes_written += static_cast<std::uint64_t>(t->data_lbas) * lba_bytes_;
     outputs.push_back(std::move(t));
   }
-  if (failed) {
+  // Durability for the new tables before the inputs go away.
+  bool durable = false;
+  if (!failed) {
+    const std::uint64_t e0 = Epoch();
+    auto fc = co_await stack_.Submit({.opcode = Opcode::kFlush});
+    durable = fc.completion.ok() && Epoch() == e0;
+    for (const TablePtr& t : outputs) {
+      durable = durable && t->write_epoch == e0;
+    }
+  }
+  if (!durable) {
+    // An append outran its retries, or the barrier could not certify the
+    // output (lost buffered data, or a power loss): drop the output and
+    // keep the inputs for a later attempt.
     for (const TablePtr& t : outputs) DropTable(t);
     for (const TablePtr& t : job.inputs) t->compacting = false;
     co_await sim_.Delay(sim::Microseconds(500));
     co_return;
   }
-  // Durability for the new tables before the inputs go away.
-  const std::uint64_t e0 = Epoch();
-  auto fc = co_await stack_.Submit({.opcode = Opcode::kFlush});
-  const bool durable = fc.completion.ok() && Epoch() == e0;
-  for (const TablePtr& t : outputs) {
-    t->durable = durable && t->write_epoch == e0;
-    InstallTable(t, out_level);
-  }
+  for (const TablePtr& t : outputs) InstallTable(t, out_level);
   for (const TablePtr& t : job.inputs) {
     auto& lvl = levels_[t->level];
     lvl.erase(std::remove(lvl.begin(), lvl.end(), t), lvl.end());
@@ -1035,8 +1100,9 @@ sim::Task<workload::IntegrityVerifier::Report> KvStore::RecoverAfterCrash() {
   const sim::Time t0 = sim_.now();
   stats_.crash_recoveries++;
   workload::IntegrityVerifier::Report rep;
-  // Quiesce background work first: jobs in flight will observe failed
-  // I/O and retire (their tables stay non-durable and are handled here).
+  // Quiesce background work first: a flush or compaction the crash left
+  // uncertified redoes itself on the recovered device, so every table
+  // installed after this is durable.
   co_await Drain();
   auto report = co_await ReportZones();
   ZSTOR_CHECK(report.size() >= opt_.zone_count);
@@ -1050,18 +1116,10 @@ sim::Task<workload::IntegrityVerifier::Report> KvStore::RecoverAfterCrash() {
   auto zone_wp = [&](std::uint32_t zone) {
     return wp[zone - opt_.first_zone];
   };
-  // ---- SSTables: drop what was never durable, verify what was --------
+  // ---- SSTables: every one was certified durable; verify it ----------
   for (auto& lvl : levels_) {
     std::vector<TablePtr> keep;
     for (const TablePtr& t : lvl) {
-      if (!t->durable) {
-        // Un-certified table: the crash may have torn it. Its records
-        // are still WAL-covered (checkpoint only follows durability),
-        // so drop it and let replay resurrect the data.
-        DropTable(t);
-        stats_.tables_dropped++;
-        continue;
-      }
       bool torn = false;
       for (const Extent& e : t->extents) {
         const nvme::Lba zstart = ZoneStartLba(e.zone);
@@ -1096,23 +1154,21 @@ sim::Task<workload::IntegrityVerifier::Report> KvStore::RecoverAfterCrash() {
   std::vector<const WalRecord*> replay;
   for (const WalRecord& r : wal_) {
     if (r.durable) continue;  // covered by a verified durable table
-    const std::uint64_t seg_wp = zone_wp(opt_.first_zone + r.segment);
     if (!r.acked) {
       // The put itself failed; nothing was promised.
       rep.lost_unflushed += r.lbas;
       stats_.wal_lost++;
       continue;
     }
-    const std::uint64_t in_zone =
-        r.lba - ZoneStartLba(opt_.first_zone + r.segment);
-    if (in_zone + r.lbas > seg_wp) {
+    const std::uint64_t in_zone = r.lba - ZoneStartLba(r.zone);
+    if (in_zone + r.lbas > zone_wp(r.zone)) {
       // Wholly or partially beyond the durable prefix: an unflushed
       // write the crash legitimately dropped.
       rep.lost_unflushed += r.lbas;
       stats_.wal_lost++;
       continue;
     }
-    Extent e{opt_.first_zone + r.segment, r.lba, r.lbas, r.tag_base};
+    Extent e{r.zone, r.lba, r.lbas, r.tag_base};
     auto before = rep.silent_corruptions;
     co_await ReadExtentRange(e, 0, r.lbas, /*verify_tags=*/true, &rep);
     if (rep.silent_corruptions == before) replay.push_back(&r);
@@ -1132,7 +1188,7 @@ sim::Task<workload::IntegrityVerifier::Report> KvStore::RecoverAfterCrash() {
   // reservation accounting died with the power loss); live counts are
   // recomputed from the surviving tables.
   for (ZoneInfo& zi : zones_) {
-    zi.written_lbas = zone_wp(zi.zone);
+    if (!zi.wal && !zi.degraded) zi.written_lbas = zone_wp(zi.zone);
     zi.live_lbas = 0;
     zi.open = false;
   }
@@ -1147,7 +1203,9 @@ sim::Task<workload::IntegrityVerifier::Report> KvStore::RecoverAfterCrash() {
   reloc_zone_ = -1;
   free_zones_.clear();
   for (const ZoneInfo& zi : zones_) {
-    if (zi.written_lbas == 0) free_zones_.push_back(zi.zone);
+    if (!zi.wal && !zi.degraded && zi.written_lbas == 0) {
+      free_zones_.push_back(zi.zone);
+    }
   }
   // ---- finish: flush the replayed memtable, restart the log ----------
   if (!mem_.empty()) {
@@ -1163,7 +1221,6 @@ sim::Task<workload::IntegrityVerifier::Report> KvStore::RecoverAfterCrash() {
         const std::uint64_t e0 = Epoch();
         auto fc = co_await stack_.Submit({.opcode = Opcode::kFlush});
         if (fc.completion.ok() && Epoch() == e0 && t->write_epoch == e0) {
-          t->durable = true;
           stats_.flush_bytes +=
               static_cast<std::uint64_t>(t->data_lbas) * lba_bytes_;
           InstallTable(t, 0);
@@ -1179,21 +1236,11 @@ sim::Task<workload::IntegrityVerifier::Report> KvStore::RecoverAfterCrash() {
     mem_bytes_ = 0;
   }
   for (std::uint8_t seg = 0; seg < 2; ++seg) {
-    if (zone_wp(opt_.first_zone + seg) == 0) {
+    if (zone_wp(wal_zone_[seg]) == 0) {
       wal_used_lbas_[seg] = 0;
       continue;
     }
-    for (int attempt = 0; attempt < 50; ++attempt) {
-      auto rc = co_await stack_.Submit(
-          {.opcode = Opcode::kZoneMgmtSend,
-           .slba = ZoneStartLba(opt_.first_zone + seg),
-           .zone_action = ZoneAction::kReset});
-      if (rc.completion.ok()) break;
-      ZSTOR_CHECK_MSG(attempt < 49, "post-crash WAL reset kept failing");
-      co_await sim_.Delay(sim::Microseconds(500));
-    }
-    wal_used_lbas_[seg] = 0;
-    stats_.wal_resets++;
+    co_await ResetWalSegment(seg);
   }
   wal_.clear();
   wal_segment_ = 0;

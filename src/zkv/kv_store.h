@@ -21,16 +21,17 @@
 //       its own (low) I/O depth, never stopping the world — foreground
 //       pays only the write stalls the LSM shape itself imposes.
 //
-// Structure: puts append a WAL record to one of two dedicated log zones
-// (segment per memtable generation; the segment is reset once its
-// memtable's SSTable is durable — a WAL "checkpoint"), then land in the
-// in-memory memtable. Full memtables rotate to an immutable twin that a
-// background coroutine flushes as one sorted SSTable written in large
-// appends and made durable by an NVMe Flush. Leveled, zone-garbage-aware
-// compaction merges overlapping tables downward, preferring victims
-// whose zones hold the most garbage so zone reclamation is cheap; a
-// separate reclaim pass resets fully-dead zones and relocates the
-// remnants of mostly-dead ones when free zones run low.
+// Structure: puts append a WAL record to one of two log segments, each
+// a zone of its own (segment per memtable generation; the segment is
+// reset once its memtable's SSTable is durable — a WAL "checkpoint"),
+// then land in the in-memory memtable. Full memtables rotate to an
+// immutable twin that a background coroutine flushes as one sorted
+// SSTable written in large appends and made durable by an NVMe Flush.
+// Leveled, zone-garbage-aware compaction merges overlapping tables
+// downward, preferring victims whose zones hold the most garbage so zone
+// reclamation is cheap; a separate reclaim pass resets fully-dead zones
+// and relocates the remnants of mostly-dead ones when free zones run
+// low.
 //
 // Integrity rides the payload-tag channel (nvme::Command::payload_tag):
 // every WAL and SSTable LBA carries a unique tag, reads request tag
@@ -38,6 +39,12 @@
 // power loss, replays the WAL, and classifies every ledgered LBA into
 // the workload::IntegrityVerifier taxonomy (exact / lost-unflushed /
 // silent corruption).
+//
+// Degraded zones: a NAND program failure turns a zone ReadOnly (or
+// Offline once spares run out). The store retires such a zone for good —
+// it is never reset or reused — and moves on: data appends reroute to a
+// fresh zone, a WAL segment moves to a zone from the free pool, and a
+// flush whose barrier could not certify durability is redone.
 #pragma once
 
 #include <cstdint>
@@ -97,7 +104,7 @@ struct KvStats {
   std::uint64_t crash_recoveries = 0;
   std::uint64_t wal_replayed = 0;    // records re-inserted by replay
   std::uint64_t wal_lost = 0;        // unflushed records the crash dropped
-  std::uint64_t tables_dropped = 0;  // non-durable tables discarded
+  std::uint64_t tables_dropped = 0;  // torn durable tables discarded
 
   /// Total device write traffic per byte of user data: WAL + flush +
   /// compaction + relocation over user_bytes. The device itself adds no
@@ -126,7 +133,8 @@ class KvStore : public workload::KvBackend {
  public:
   struct Options {
     /// Logical zone range owned by the store. Zones [first_zone,
-    /// first_zone+2) are the two WAL segments; the rest hold SSTables.
+    /// first_zone+2) start as the two WAL segments; the rest hold
+    /// SSTables. A segment whose zone degrades moves to a free zone.
     std::uint32_t first_zone = 0;
     std::uint32_t zone_count = 12;
     /// Memtable rotation threshold (value bytes). Must fit a WAL
@@ -228,7 +236,6 @@ class KvStore : public workload::KvBackend {
     std::uint32_t data_lbas = 0;          // total LBAs incl. padding
     std::uint64_t data_bytes = 0;         // sum of value bytes
     std::vector<Extent> extents;
-    bool durable = false;                 // certified by a same-epoch flush
     bool compacting = false;              // claimed by compaction or GC
     bool installed = false;               // counted in a level's shape
     bool dropped = false;                 // removed (extents are garbage)
@@ -251,7 +258,8 @@ class KvStore : public workload::KvBackend {
     std::uint64_t bytes = 0;
     std::uint64_t seq = 0;
     bool tombstone = false;
-    std::uint8_t segment = 0;    // which WAL zone
+    std::uint8_t segment = 0;    // which WAL segment
+    std::uint32_t zone = 0;      // the segment's zone the append landed in
     nvme::Lba lba = 0;           // from the append completion
     std::uint32_t lbas = 0;
     std::uint64_t tag_base = 0;
@@ -266,6 +274,8 @@ class KvStore : public workload::KvBackend {
     std::uint64_t written_lbas = 0;
     std::uint64_t live_lbas = 0;
     bool open = false;            // currently an allocation target
+    bool wal = false;             // serves a WAL segment
+    bool degraded = false;        // ReadOnly/Offline: never reset or reused
   };
 
   /// Re-armable broadcast signal (sim::OneShotEvent is one-shot; stalls
@@ -290,12 +300,16 @@ class KvStore : public workload::KvBackend {
   };
 
   // ---- helpers ---------------------------------------------------------
+  static bool IsZoneDegraded(nvme::Status s);
   static bool IsZoneWriteFailure(nvme::Status s);
   nvme::Lba ZoneStartLba(std::uint32_t zone) const;
-  /// Index of a DATA zone in zones_ (zones_[0] is the first zone after
-  /// the two WAL segments).
   std::uint32_t ZoneIndex(std::uint32_t zone) const {
-    return zone - opt_.first_zone - 2;
+    return zone - opt_.first_zone;
+  }
+  /// A sealed data zone holding no live data: reclaim resets it.
+  static bool IsDeadZone(const ZoneInfo& zi) {
+    return !zi.open && !zi.wal && !zi.degraded && zi.written_lbas > 0 &&
+           zi.live_lbas == 0;
   }
   std::uint64_t zone_cap_lbas() const;
   std::uint64_t Epoch() const {
@@ -317,6 +331,12 @@ class KvStore : public workload::KvBackend {
   sim::Task<nvme::Status> PutInternal(std::uint64_t key, std::uint64_t bytes,
                                       bool tombstone);
   sim::Task<nvme::Status> WalAppend(WalRecord& rec);
+  /// Retires segment `seg`'s zone `failed` as degraded and moves the
+  /// segment to an empty zone from the free pool (no-op if a concurrent
+  /// writer already moved it).
+  sim::Task<> ReplaceWalZone(std::uint8_t seg, std::uint32_t failed);
+  /// WAL checkpoint: empties segment `seg` for its next generation.
+  sim::Task<> ResetWalSegment(std::uint8_t seg);
   sim::Task<> StallForRoom();        // L0 / imm backpressure, counts stall ns
   void MaybeRotateMemtable();        // rotate when the memtable is full
   void DoRotate();                   // mem_ -> imm_, switch WAL segment
@@ -381,6 +401,10 @@ class KvStore : public workload::KvBackend {
 
   // WAL state.
   std::uint8_t wal_segment_ = 0;           // active segment (0/1)
+  std::uint32_t wal_zone_[2] = {0, 0};     // each segment's current zone
+  /// LBAs reserved by each segment's generation; a segment that moved
+  /// zones keeps counting its old zone's share, so the generation still
+  /// fits one zone.
   std::uint64_t wal_used_lbas_[2] = {0, 0};
   std::uint64_t wal_pending_[2] = {0, 0};  // appends in flight per segment
   std::deque<WalRecord> wal_;              // ledger, seq order
@@ -390,7 +414,7 @@ class KvStore : public workload::KvBackend {
   std::uint8_t imm_segment_ = 0;           // segment covering imm_
 
   // Zone state.
-  std::vector<ZoneInfo> zones_;            // data zones, by index
+  std::vector<ZoneInfo> zones_;            // every store zone, by index
   std::deque<std::uint32_t> free_zones_;   // logical zone numbers
   std::int64_t open_zone_[2] = {-1, -1};   // per class; -1 = none
   std::int64_t reloc_zone_ = -1;           // GC's private output zone

@@ -1,8 +1,8 @@
 // End-to-end fault injection: the full degradation lifecycle driven
 // through the public NVMe command path (Testbed -> host stack -> device),
-// host-side retries recovering transient read errors, the object store
-// rerouting writes around degraded zones, and the log pages reflecting
-// all of it.
+// host-side retries recovering transient read errors, the KV store
+// retiring degraded zones without surfacing an error, and the log pages
+// reflecting all of it.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -12,7 +12,7 @@
 #include "harness/testbed.h"
 #include "hostif/resilient_stack.h"
 #include "nvme/log_page.h"
-#include "zobj/zone_object_store.h"
+#include "zkv/kv_store.h"
 
 namespace zstor {
 namespace {
@@ -166,61 +166,83 @@ TEST(FaultInjection, HostRetriesRecoverATransientReadError) {
   EXPECT_EQ(tb.faults()->counters().scheduled_fired, 1u);
 }
 
-TEST(FaultInjection, ObjectStoreReroutesWritesAroundDegradedZones) {
-  // Plenty of spares, one scheduled program failure: the store's active
-  // zone degrades to ReadOnly mid-stream and the store must reroute the
-  // affected append to a fresh zone without surfacing an error — and the
-  // degraded zone's extents must stay readable.
+/// One scheduled program failure at `fault_at` under a zkv put stream:
+/// whichever zone the failure lands in (a WAL segment or an SSTable
+/// zone) degrades to ReadOnly mid-stream. The store must retire the zone
+/// and carry on — no Put may surface an error and no key may be lost.
+/// Returns the virtual time the first memtable flush completed.
+sim::Time RunKvPutsThroughADegradedZone(sim::Time fault_at) {
   zns::ZnsProfile p = QuietTiny();
   p.spare_blocks = 8;
+  p.max_open_zones = 8;  // two WAL segments + hot/cold/relocation zones
+  p.max_active_zones = 10;
   fault::FaultSpec spec;
   spec.enabled = true;
-  spec.scheduled.push_back({.at = 0,
+  spec.scheduled.push_back({.at = fault_at,
                             .kind = fault::FaultKind::kProgramFail,
                             .die = fault::kAnySite,
                             .block = fault::kAnySite});
-  Testbed tb = TestbedBuilder()
-                   .WithZnsProfile(p)
-                   .WithFaults(spec)
-                   .Build();
+  Testbed tb = TestbedBuilder().WithZnsProfile(p).WithFaults(spec).Build();
+  zkv::KvStore kv(tb.sim(), tb.stack(),
+                  {.first_zone = 0, .zone_count = p.num_zones});
 
-  zobj::ZoneObjectStore store(
-      tb.sim(), tb.stack(),
-      {.first_zone = 0, .zone_count = 8, .compact_free_low = 2});
-
-  // 48 x 64 KiB objects (~3 MiB): enough traffic that the failed program
-  // surfaces (as a write fault on a later append) while writes continue.
-  constexpr std::uint64_t kObjects = 48;
-  std::vector<Status> results(kObjects, Status::kInvalidOpcode);
-  auto driver = [&]() -> sim::Task<> {
-    for (std::uint64_t k = 0; k < kObjects; ++k) {
-      results[k] = co_await store.Put(k, 64 * 1024);
+  // 512 x 4 KiB puts over 256 keys (~2 MiB, about eight memtables):
+  // enough traffic that the failed program surfaces — as a write fault
+  // on a later append, a failed flush barrier, or a refused WAL reset —
+  // while writes continue.
+  constexpr std::uint64_t kKeys = 256;
+  constexpr std::uint64_t kPuts = 512;
+  std::vector<Status> puts(kPuts, Status::kInvalidOpcode);
+  sim::Time first_flush = 0;
+  auto writer = [&]() -> sim::Task<> {
+    for (std::uint64_t i = 0; i < kPuts; ++i) {
+      puts[i] = co_await kv.Put(i % kKeys, 4096);
+      if (first_flush == 0 && kv.stats().flushes > 0) {
+        first_flush = tb.sim().now();
+      }
     }
+    co_await kv.Drain();
   };
-  auto t = driver();
+  auto w = writer();
   tb.sim().Run();
 
   // Every Put succeeded despite the media fault...
-  for (std::uint64_t k = 0; k < kObjects; ++k) {
-    EXPECT_EQ(results[k], Status::kSuccess) << "object " << k;
+  for (std::uint64_t i = 0; i < kPuts; ++i) {
+    EXPECT_EQ(puts[i], Status::kSuccess) << "put " << i;
   }
   // ...because the store reacted to the degradation, not the caller.
-  EXPECT_GE(store.stats().zones_degraded, 1u);
-  EXPECT_GE(store.stats().write_reroutes, 1u);
   EXPECT_GE(tb.zns()->counters().zones_degraded_readonly, 1u);
 
-  // Everything written is still readable (ReadOnly zones serve reads).
-  std::vector<Status> reads(kObjects, Status::kInvalidOpcode);
+  // Everything written is still there (ReadOnly zones serve reads).
+  std::vector<Status> gets(kKeys, Status::kInvalidOpcode);
+  std::vector<char> found(kKeys, 0);
   auto reader = [&]() -> sim::Task<> {
-    for (std::uint64_t k = 0; k < kObjects; ++k) {
-      reads[k] = co_await store.Get(k);
+    for (std::uint64_t k = 0; k < kKeys; ++k) {
+      bool f = false;
+      gets[k] = co_await kv.Get(k, &f);
+      found[k] = f;
     }
   };
-  auto rt = reader();
+  auto r = reader();
   tb.sim().Run();
-  for (std::uint64_t k = 0; k < kObjects; ++k) {
-    EXPECT_EQ(reads[k], Status::kSuccess) << "object " << k;
+  for (std::uint64_t k = 0; k < kKeys; ++k) {
+    EXPECT_EQ(gets[k], Status::kSuccess) << "key " << k;
+    EXPECT_TRUE(found[k]) << "key " << k;
   }
+  EXPECT_EQ(kv.stats().read_tag_mismatches, 0u);
+  return first_flush;
+}
+
+TEST(FaultInjection, KvStoreSurvivesADegradedWalZone) {
+  // At t=0 the first NAND program is the first WAL record's.
+  RunKvPutsThroughADegradedZone(0);
+}
+
+TEST(FaultInjection, KvStoreSurvivesAZoneDegradingAfterTheFirstFlush) {
+  const sim::Time fault_at = sim::Milliseconds(20);
+  const sim::Time first_flush = RunKvPutsThroughADegradedZone(fault_at);
+  EXPECT_GT(first_flush, 0u);
+  EXPECT_LT(first_flush, fault_at);
 }
 
 TEST(FaultInjection, DisabledFaultsLeaveTheTestbedUnwrapped) {

@@ -18,7 +18,6 @@
 #include "telemetry/metrics.h"
 #include "zkv/kv_store.h"
 #include "zns/zns_device.h"
-#include "zobj/zone_object_store.h"
 
 namespace zstor {
 namespace {
@@ -38,8 +37,6 @@ static_assert(sizeof(fault::FaultCounters) == 6 * sizeof(std::uint64_t),
               "FaultCounters changed: update Describe() and this test");
 static_assert(sizeof(hostif::ResilienceStats) == 9 * sizeof(std::uint64_t),
               "ResilienceStats changed: update Describe() and this test");
-static_assert(sizeof(zobj::StoreStats) == 15 * sizeof(std::uint64_t),
-              "StoreStats changed: update Describe() and this test");
 static_assert(sizeof(zkv::KvStats) == 27 * sizeof(std::uint64_t),
               "KvStats changed: update Describe() and this test");
 
@@ -134,22 +131,6 @@ TEST(CountersCoverage, ResilienceDescribeExportsEveryField) {
              "hostif.timeouts", "hostif.recovered",
              "hostif.terminal_errors", "hostif.retries_exhausted",
              "hostif.device_resets_seen", "hostif.replayed_dupes"});
-}
-
-TEST(CountersCoverage, ZobjDescribeExportsEveryFieldPlusWa) {
-  telemetry::MetricsRegistry reg;
-  zobj::StoreStats{}.Describe(reg);
-  std::vector<std::string> names = SnapshotNames(reg);
-  // 15 counters + the derived write_amplification gauge.
-  EXPECT_EQ(names.size(), 16u);
-  ExpectAll(names,
-            {"zobj.puts", "zobj.gets", "zobj.deletes", "zobj.compactions",
-             "zobj.bytes_written", "zobj.bytes_relocated",
-             "zobj.zone_resets", "zobj.write_reroutes",
-             "zobj.zones_degraded", "zobj.lost_extents",
-             "zobj.crash_recoveries", "zobj.truncated_extents",
-             "zobj.torn_extents", "zobj.crash_lost_bytes",
-             "zobj.crash_lost_objects", "zobj.write_amplification"});
 }
 
 TEST(CountersCoverage, KvDescribeExportsEveryFieldPlusWa) {

@@ -150,6 +150,50 @@ TEST(KvStoreCrash, DoubleCrashSurvives) {
   EXPECT_EQ(f.kv.stats().crash_recoveries, 2u);
 }
 
+TEST(KvStoreCrash, CrashDuringChurnKeepsEveryDurableKey) {
+  // A first batch of keys is made durable; then churn on other keys
+  // (flushes, and compactions that rewrite the first batch's tables)
+  // runs until power is cut, at each of a sweep of instants, and
+  // recovery follows. The first batch must survive every crash point: a
+  // flush or compaction retires what it replaces only once its own
+  // output is certified durable.
+  constexpr std::uint64_t kKeys = 24;
+  for (sim::Time crash_at = sim::Milliseconds(2);
+       crash_at <= sim::Milliseconds(80); crash_at += sim::Milliseconds(2)) {
+    Fixture f;
+    bool churn_done = false;
+    bool crashed = false;
+    auto churn = [&]() -> sim::Task<> {
+      sim::Rng rng(crash_at);
+      for (int round = 0; round < 200 && !crashed; ++round) {
+        co_await f.kv.Put(kKeys + rng.UniformU64(kKeys), 16 * 1024);
+      }
+      churn_done = true;
+    };
+    auto body = [&]() -> sim::Task<> {
+      for (std::uint64_t k = 0; k < kKeys; ++k) {
+        co_await f.kv.Put(k, 16 * 1024);
+      }
+      co_await f.kv.Drain();
+      sim::Spawn(churn());
+      co_await f.sim.Delay(crash_at);
+      crashed = true;
+      co_await f.dev.CrashNow();
+      while (!churn_done) co_await f.sim.Delay(sim::Milliseconds(1));
+      const Report rep = co_await f.kv.RecoverAfterCrash();
+      EXPECT_EQ(rep.silent_corruptions, 0u);
+    };
+    f.Sync(body);
+    for (std::uint64_t k = 0; k < kKeys; ++k) {
+      bool found = false;
+      auto rd = [&]() -> sim::Task<> { co_await f.kv.Get(k, &found); };
+      auto t = rd();
+      f.sim.Run();
+      EXPECT_TRUE(found) << "key " << k << ", crash at " << crash_at;
+    }
+  }
+}
+
 TEST(KvStoreCrash, RecoveryIsDeterministic) {
   auto run = [](Report* rep, KvStats* st) {
     Fixture f;

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <set>
 
 #include "hostif/spdk_stack.h"
 #include "sim/rng.h"
@@ -26,7 +27,7 @@ struct Fixture {
     p.io_sigma = 0;
     p.reset.sigma = 0;
     p.finish.sigma = 0;
-    // The store holds more zones active than zobj: two WAL segments plus
+    // The store holds five zones active: two WAL segments plus
     // hot/cold/relocation data zones.
     p.max_open_zones = 8;
     p.max_active_zones = 10;
@@ -167,6 +168,44 @@ TEST(KvStore, CompactionTriggersUnderChurnAndKeepsDataReadable) {
     level_compactions += ls.compactions;
   }
   EXPECT_EQ(level_compactions, st.compactions);
+}
+
+TEST(KvStore, RandomizedDifferentialAgainstReferenceMap) {
+  // Seeded put/overwrite/delete/get over a small key space, checked op by
+  // op against a std::set of live keys. ~20 MiB of writes through a
+  // 14-zone store forces flushes, leveled compaction and zone reclaim.
+  Fixture f;
+  sim::Rng rng(77);
+  std::set<std::uint64_t> live;
+  for (int step = 0; step < 3000; ++step) {
+    const std::uint64_t key = rng.UniformU64(48);
+    const std::uint64_t kind = rng.UniformU64(10);
+    if (kind < 6) {
+      const std::uint64_t bytes = 1024 * (1 + rng.UniformU64(16));
+      ASSERT_EQ(f.Put(key, bytes), Status::kSuccess) << "step " << step;
+      live.insert(key);
+    } else if (kind < 8) {
+      ASSERT_EQ(f.Delete(key), Status::kSuccess) << "step " << step;
+      live.erase(key);
+    } else {
+      bool found = !live.contains(key);
+      ASSERT_EQ(f.Get(key, &found), Status::kSuccess) << "step " << step;
+      ASSERT_EQ(found, live.contains(key))
+          << "step " << step << " key " << key;
+    }
+  }
+  f.Drain();
+  for (std::uint64_t key = 0; key < 48; ++key) {
+    bool found = !live.contains(key);
+    ASSERT_EQ(f.Get(key, &found), Status::kSuccess);
+    EXPECT_EQ(found, live.contains(key)) << "key " << key;
+  }
+  const KvStats& st = f.kv.stats();
+  EXPECT_GT(st.flushes, 0u);
+  EXPECT_GT(st.compactions, 0u);
+  EXPECT_GT(st.gc_passes, 0u);
+  EXPECT_GT(st.zone_resets, 0u);  // reclaim freed data zones
+  EXPECT_EQ(st.read_tag_mismatches, 0u);
 }
 
 TEST(KvStore, WriteAmplificationIsAccounted) {

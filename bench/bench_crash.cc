@@ -369,8 +369,9 @@ int main(int argc, char** argv) {
     t.Print();
     std::printf(
         "  a short sync interval keeps the unsynced-delta window (and the\n"
-        "  replay tail) small at the price of journal write amplification;\n"
-        "  a long one does the opposite — the firmware durability knob\n");
+        "  replay-tail bound, one checkpoint period) small at the price of\n"
+        "  journal write amplification; a long one does the opposite — the\n"
+        "  firmware durability knob\n");
   }
 
   std::printf("\nintegrity: %s\n",

@@ -1,6 +1,7 @@
 #include "ftl/conv_device.h"
 
 #include <algorithm>
+#include <bit>
 
 namespace zstor::ftl {
 
@@ -125,6 +126,8 @@ ConvDevice::ConvDevice(sim::Simulator& s, ConvProfile profile)
       profile_.logical_bytes() / profile_.map_unit_bytes;
   const std::uint64_t phys_units =
       profile_.physical_bytes() / profile_.map_unit_bytes;
+  ZSTOR_CHECK_MSG(phys_units < kBufferedBit - 1,
+                  "physical units overflow the L2P buffered encoding");
   l2p_.assign(logical_units, kUnmapped);
   p2l_.assign(phys_units, kUnmapped);
   blocks_.resize(profile_.nand_geometry.total_blocks());
@@ -187,7 +190,7 @@ void ConvDevice::SetValid(Block& b, std::uint32_t unit, bool v) {
 
 void ConvDevice::InvalidateUnit(std::uint32_t logical_unit) {
   std::uint32_t phys = l2p_[logical_unit];
-  if (phys == kUnmapped || phys == kInBuffer) return;
+  if (phys == kUnmapped || IsBuffered(phys)) return;
   std::uint32_t block_id = phys / units_per_block();
   std::uint32_t unit = phys % units_per_block();
   Block& b = blocks_[block_id];
@@ -196,6 +199,12 @@ void ConvDevice::InvalidateUnit(std::uint32_t logical_unit) {
   ZSTOR_CHECK(b.valid > 0);
   b.valid--;
   p2l_[phys] = kUnmapped;
+}
+
+std::uint32_t ConvDevice::ReleaseOrigin(std::uint32_t logical_unit) {
+  const std::uint32_t origin = OriginOf(l2p_[logical_unit]);
+  if (origin != kUnmapped) p2l_[origin] = kUnmapped;
+  return origin;
 }
 
 void ConvDevice::MapUnit(std::uint32_t logical_unit,
@@ -245,7 +254,10 @@ void ConvDevice::ReleaseErasedBlock(std::uint32_t block_id) {
 // ------------------------------------------------------------------ GC
 
 void ConvDevice::MaybeWakeGc() {
-  if (!layout_done_) return;
+  // No GC during a power outage: a pass started there would snapshot its
+  // survivors before the rollback re-validates units in its victim, and
+  // then erase them. CrashNow wakes GC once recovery completes.
+  if (!layout_done_ || crashed_) return;
   if (!gc_target_active_ && free_total_ < profile_.gc_low_blocks) {
     gc_target_active_ = true;
   }
@@ -477,7 +489,7 @@ sim::Task<> ConvDevice::MigrateAndErase(std::uint32_t victim) {
   // The erase destroys the old physical copies, so every unsynced journal
   // entry and buffered-write rollback origin must stop referencing this
   // block first: sync makes the migration mappings durable, and buffered
-  // origins inside the victim degrade to kUnmapped (a crash between here
+  // origins inside the victim degrade to kInBuffer (a crash between here
   // and the buffered program landing loses those units — they were
   // unflushed, so that is within the device's contract).
   SyncJournal();
@@ -580,7 +592,7 @@ sim::Task<Completion> ConvDevice::DoRead(Command cmd) {
   std::vector<std::uint64_t> pages;  // phys page ids
   for (std::uint32_t i = 0; i < cmd.nlb; ++i) {
     std::uint32_t phys = l2p_[cmd.slba + i];
-    if (phys == kUnmapped || phys == kInBuffer) continue;
+    if (phys == kUnmapped || IsBuffered(phys)) continue;
     std::uint64_t page_id = phys / profile_.units_per_page();
     if (std::find(pages.begin(), pages.end(), page_id) == pages.end()) {
       pages.push_back(page_id);
@@ -674,15 +686,18 @@ sim::Task<Completion> ConvDevice::DoWrite(Command cmd) {
       co_return Completion{.status = Status::kDeviceReset};
     }
     // Overwrites invalidate the previous physical locations now. The
-    // pre-buffer mapping is remembered so a power loss before the
-    // buffered data reaches flash can roll each unit back to its last
-    // durable copy (emplace: a double-buffered unit keeps the *original*
-    // durable phys, not the intermediate kInBuffer).
+    // pre-buffer mapping stays in the L2P entry, with a back-pointer in
+    // the old copy's P2L slot, so a power loss before the buffered data
+    // reaches flash can roll each unit back to its last durable copy (a
+    // double-buffered unit keeps the *original* durable origin).
     for (std::uint32_t i = 0; i < cmd.nlb; ++i) {
       std::uint32_t u = static_cast<std::uint32_t>(cmd.slba + i);
-      if (l2p_[u] != kInBuffer) buffered_old_.emplace(u, l2p_[u]);
-      InvalidateUnit(u);
-      l2p_[u] = kInBuffer;
+      const std::uint32_t origin = l2p_[u];
+      if (!IsBuffered(origin)) {
+        InvalidateUnit(u);
+        if (origin != kUnmapped) p2l_[origin] = u;
+        l2p_[u] = BufferedEntry(origin);
+      }
       if (cmd.payload_tag != 0) pending_tags_[u] = cmd.payload_tag + i;
     }
   }
@@ -734,13 +749,9 @@ sim::Task<Completion> ConvDevice::DoDeallocate(Command cmd) {
       // journal entry syncs. For an in-buffer unit, the delta supersedes
       // the buffered write, so its rollback origin transfers into the
       // journal entry and the buffered state is forgotten.
-      if (l2p_[u] == kInBuffer) {
-        auto it = buffered_old_.find(u);
-        std::uint32_t origin = it != buffered_old_.end() ? it->second
-                                                         : kUnmapped;
-        if (it != buffered_old_.end()) buffered_old_.erase(it);
+      if (IsBuffered(l2p_[u])) {
         pending_tags_.erase(u);
-        JournalAppend(u, origin, kUnmapped);
+        JournalAppend(u, ReleaseOrigin(u), kUnmapped);
       } else {
         JournalAppend(u, l2p_[u], kUnmapped);
       }
@@ -879,13 +890,9 @@ sim::Task<> ConvDevice::ProgramHostPage(std::vector<std::uint32_t> units,
     std::uint32_t u = units[i];
     // Map only if this unit is still waiting on this buffered write (the
     // host may have overwritten it again while it sat in the buffer).
-    if (l2p_[u] == kInBuffer) {
+    if (IsBuffered(l2p_[u])) {
       std::uint32_t phys = PhysUnit(block_id, base + i);
-      std::uint32_t origin = kUnmapped;
-      if (auto it = buffered_old_.find(u); it != buffered_old_.end()) {
-        origin = it->second;
-        buffered_old_.erase(it);
-      }
+      const std::uint32_t origin = ReleaseOrigin(u);
       MapUnit(u, phys);
       JournalAppend(u, origin, phys);
       if (auto it = pending_tags_.find(u); it != pending_tags_.end()) {
@@ -930,13 +937,14 @@ void ConvDevice::SyncJournal() {
 }
 
 void ConvDevice::ForgetBufferedOldInBlock(std::uint32_t block_id) {
-  const std::uint32_t lo = block_id * units_per_block();
-  const std::uint32_t hi = lo + units_per_block();
-  for (auto& [u, phys] : buffered_old_) {
-    if (phys != kUnmapped && phys != kInBuffer && phys >= lo && phys < hi) {
+  const std::uint32_t lo = PhysUnit(block_id, 0);
+  for (std::uint32_t p = lo; p < lo + units_per_block(); ++p) {
+    const std::uint32_t u = p2l_[p];
+    if (u != kUnmapped && l2p_[u] == (kBufferedBit | p)) {
       // The pre-buffer copy is about to be erased: if power fails before
       // the buffered rewrite lands, this unit has no durable copy left.
-      phys = kUnmapped;
+      l2p_[u] = kInBuffer;
+      p2l_[p] = kUnmapped;
     }
   }
 }
@@ -949,7 +957,7 @@ void ConvDevice::CommitTag(std::uint32_t phys_unit, std::uint64_t tag) {
 std::uint64_t ConvDevice::TagOfLogical(std::uint32_t logical_unit) const {
   const std::uint32_t phys = l2p_[logical_unit];
   if (phys == kUnmapped) return 0;
-  if (phys == kInBuffer) {
+  if (IsBuffered(phys)) {
     auto it = pending_tags_.find(logical_unit);
     return it != pending_tags_.end() ? it->second : 0;
   }
@@ -989,20 +997,20 @@ sim::Task<> ConvDevice::CrashNow() {
   co_await inflight_programs_.Wait();
 
   // --- volatile-state loss ------------------------------------------
-  // 1. Buffered (unflushed) host writes: each kInBuffer unit reverts to
+  // 1. Buffered (unflushed) host writes: each buffered unit reverts to
   //    its last durable pre-write mapping (or to unmapped if GC erased
-  //    that copy while the rewrite sat in the buffer).
+  //    that copy while the rewrite sat in the buffer). Origins are
+  //    distinct physical units, so the scan order does not matter.
   std::uint64_t lost = 0;
-  for (const auto& [u, origin] : buffered_old_) {
-    if (l2p_[u] != kInBuffer) continue;
+  for (std::uint32_t u = 0; u < l2p_.size(); ++u) {
+    if (!IsBuffered(l2p_[u])) continue;
     ++lost;
-    if (origin == kUnmapped) {
-      l2p_[u] = kUnmapped;
-    } else {
+    const std::uint32_t origin = ReleaseOrigin(u);
+    l2p_[u] = kUnmapped;
+    if (origin != kUnmapped) {
       MapUnit(u, origin);  // re-validates the old physical copy
     }
   }
-  buffered_old_.clear();
   pending_tags_.clear();
   counters_.crash_lost_units += lost;
   for (std::size_t i = 0; i < pending_units_.size(); ++i) {
@@ -1011,7 +1019,7 @@ sim::Task<> ConvDevice::CrashNow() {
   pending_units_.clear();
   // 2. Unsynced journal tail: mapping deltas that never reached flash
   //    unwind in reverse, restoring the pre-delta chain (this runs after
-  //    the buffered restore so a unit's kInBuffer -> P1 -> P0 history
+  //    the buffered restore so a unit's buffered -> P1 -> P0 history
   //    unwinds link by link).
   for (auto it = journal_tail_.rbegin(); it != journal_tail_.rend(); ++it) {
     ZSTOR_CHECK_MSG(l2p_[it->unit] == it->new_phys,
@@ -1041,6 +1049,7 @@ sim::Task<> ConvDevice::CrashNow() {
   last_recovery_ns_ = sim_.now() - crash_time;
   counters_.recovery_ns_total += static_cast<std::uint64_t>(last_recovery_ns_);
   crashed_ = false;
+  MaybeWakeGc();  // background GC resumes once the controller is back
   if (tr != nullptr) {
     tr->Instant(sim_.now(), /*cmd=*/0, Layer::kFtl, "recovery.done",
                 static_cast<std::int64_t>(journal_entries_since_checkpoint_),
@@ -1060,34 +1069,88 @@ sim::Task<> ConvDevice::CrashNow() {
 
 void ConvDevice::DebugPrefill() {
   ZSTOR_CHECK_MSG(!layout_done_, "DebugPrefill must precede all I/O");
+  // Logical page q (units q*upp ...) lands on die q % dies at on-die page
+  // q / dies; the walk fills that layout one block at a time.
   const std::uint32_t dies = profile_.nand_geometry.total_dies();
+  const std::uint32_t ppb = profile_.nand_geometry.pages_per_block;
   const std::uint32_t upp = profile_.units_per_page();
   const std::uint64_t logical_units = l2p_.size();
-  for (std::uint64_t u = 0; u < logical_units; ++u) {
-    std::uint64_t page_seq = u / upp;
-    std::uint32_t die = static_cast<std::uint32_t>(page_seq % dies);
-    std::uint64_t on_die_page = page_seq / dies;
-    std::uint32_t blk = static_cast<std::uint32_t>(
-        on_die_page / profile_.nand_geometry.pages_per_block);
-    std::uint32_t page = static_cast<std::uint32_t>(
-        on_die_page % profile_.nand_geometry.pages_per_block);
-    ZSTOR_CHECK(blk < profile_.nand_geometry.blocks_per_die);
-    std::uint32_t block_id = BlockIdOf(die, blk);
-    Block& b = blocks_[block_id];
-    std::uint32_t unit = page * upp + static_cast<std::uint32_t>(u % upp);
-    std::uint32_t phys = PhysUnit(block_id, unit);
-    l2p_[u] = phys;
-    p2l_[phys] = static_cast<std::uint32_t>(u);
-    SetValid(b, unit, true);
-    b.valid++;
-    if (b.write_ptr_units < unit + 1) b.write_ptr_units = unit + 1;
-    flash_->DebugProgramRange(die, blk, page + 1);
-  }
-  // Round partially-written blocks up to "full" so they are GC-eligible.
-  for (auto& b : blocks_) {
-    if (b.write_ptr_units > 0) b.write_ptr_units = units_per_block();
+  const std::uint64_t pages = (logical_units + upp - 1) / upp;
+  ZSTOR_CHECK(pages == 0 || (pages - 1) / dies / ppb <
+                                profile_.nand_geometry.blocks_per_die);
+  for (std::uint32_t die = 0; die < dies; ++die) {
+    for (std::uint32_t blk = 0; blk < profile_.nand_geometry.blocks_per_die;
+         ++blk) {
+      const std::uint32_t block_id = BlockIdOf(die, blk);
+      Block& b = blocks_[block_id];
+      std::uint32_t page = 0;
+      for (; page < ppb; ++page) {
+        const std::uint64_t q =
+            (static_cast<std::uint64_t>(blk) * ppb + page) * dies + die;
+        if (q >= pages) break;
+        for (std::uint32_t s = 0; s < upp && q * upp + s < logical_units;
+             ++s) {
+          const std::uint32_t u = static_cast<std::uint32_t>(q * upp + s);
+          const std::uint32_t phys = PhysUnit(block_id, page * upp + s);
+          l2p_[u] = phys;
+          p2l_[phys] = u;
+          SetValid(b, page * upp + s, true);
+          b.valid++;
+        }
+      }
+      if (page == 0) break;
+      // A partially written last block counts as full, so it is
+      // GC-eligible.
+      b.write_ptr_units = units_per_block();
+      flash_->DebugProgramRange(die, blk, page);
+    }
   }
   FinalizeLayout();
+}
+
+void ConvDevice::AuditMapping() const {
+  const std::uint32_t upb = units_per_block();
+  auto valid = [&](std::uint32_t phys) {
+    return TestValid(blocks_[phys / upb], phys % upb);
+  };
+  for (std::uint32_t u = 0; u < l2p_.size(); ++u) {
+    const std::uint32_t e = l2p_[u];
+    if (e == kUnmapped) continue;
+    if (!IsBuffered(e)) {
+      ZSTOR_CHECK_MSG(p2l_[e] == u && valid(e), "L2P entry without P2L");
+    } else if (OriginOf(e) != kUnmapped) {
+      ZSTOR_CHECK_MSG(p2l_[OriginOf(e)] == u && !valid(OriginOf(e)),
+                      "rollback origin without its back-pointer");
+    }
+  }
+  for (std::uint32_t id = 0; id < blocks_.size(); ++id) {
+    const Block& b = blocks_[id];
+    std::uint32_t popcount = 0;
+    for (std::uint64_t w : b.valid_bitmap) {
+      popcount += static_cast<std::uint32_t>(std::popcount(w));
+    }
+    ZSTOR_CHECK_MSG(b.valid == popcount, "block valid count drifted");
+    for (std::uint32_t p = PhysUnit(id, 0); p < PhysUnit(id, upb); ++p) {
+      if (valid(p)) {
+        ZSTOR_CHECK_MSG(p2l_[p] != kUnmapped && l2p_[p2l_[p]] == p,
+                        "valid unit without L2P");
+      } else if (p2l_[p] != kUnmapped) {
+        ZSTOR_CHECK_MSG(l2p_[p2l_[p]] == (kBufferedBit | p),
+                        "stale back-pointer");
+      }
+    }
+  }
+  // Free and reserve blocks are erased: no unit or origin lies in them.
+  auto check_erased = [&](std::uint32_t id) {
+    for (std::uint32_t p = PhysUnit(id, 0); p < PhysUnit(id, upb); ++p) {
+      ZSTOR_CHECK_MSG(p2l_[p] == kUnmapped,
+                      "free or reserve block is referenced");
+    }
+  };
+  for (const auto& pool : free_blocks_) {
+    for (std::uint32_t id : pool) check_erased(id);
+  }
+  for (std::uint32_t id : gc_reserve_) check_erased(id);
 }
 
 }  // namespace zstor::ftl

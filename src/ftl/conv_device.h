@@ -125,9 +125,34 @@ class ConvDevice : public nvme::Controller {
   /// (the paper's drives are aged; see DESIGN.md §6).
   void DebugPrefill();
 
+  /// CHECKs the mapping invariants (test tool; O(logical + physical
+  /// units), no virtual time): L2P and P2L agree on every mapped unit,
+  /// each block's valid count matches its bitmap, and every buffered
+  /// unit's rollback origin carries its back-pointer and lies outside
+  /// the free pool and the GC reserve.
+  void AuditMapping() const;
+
  private:
+  // L2P entry encoding. A mapped unit holds its physical unit. A unit
+  // in the volatile write buffer holds kBufferedBit | origin, where
+  // origin is its last durable physical copy (what a power loss rolls
+  // it back to), or kInBuffer when no durable copy is left (fresh
+  // write, or GC erased the origin). Physical unit numbers stay below
+  // kBufferedBit - 1, so the encodings never collide.
   static constexpr std::uint32_t kUnmapped = ~0u;
   static constexpr std::uint32_t kInBuffer = ~0u - 1;
+  static constexpr std::uint32_t kBufferedBit = 1u << 31;
+  static bool IsBuffered(std::uint32_t entry) {
+    return entry != kUnmapped && (entry & kBufferedBit) != 0;
+  }
+  /// The L2P entry of a unit entering the buffer with rollback `origin`.
+  static std::uint32_t BufferedEntry(std::uint32_t origin) {
+    return origin == kUnmapped ? kInBuffer : kBufferedBit | origin;
+  }
+  /// The rollback origin of a buffered L2P entry (kUnmapped if none).
+  static std::uint32_t OriginOf(std::uint32_t entry) {
+    return entry == kInBuffer ? kUnmapped : entry & ~kBufferedBit;
+  }
 
   struct Block {
     std::uint32_t valid = 0;          // live units in this block
@@ -158,6 +183,9 @@ class ConvDevice : public nvme::Controller {
 
   // ---- FTL state mutation ---------------------------------------------
   void InvalidateUnit(std::uint32_t logical_unit);
+  /// Clears a buffered unit's back-pointer and returns its rollback
+  /// origin (kUnmapped if none); the caller rewrites its L2P entry.
+  std::uint32_t ReleaseOrigin(std::uint32_t logical_unit);
   void MapUnit(std::uint32_t logical_unit, std::uint32_t phys_unit);
   bool TestValid(const Block& b, std::uint32_t unit) const;
   void SetValid(Block& b, std::uint32_t unit, bool v);
@@ -202,8 +230,9 @@ class ConvDevice : public nvme::Controller {
   /// Makes all pending deltas durable, charging journal (and possibly
   /// checkpoint) write-amplification units.
   void SyncJournal();
-  /// Drops stale pre-buffer references into a block about to be erased —
-  /// once erased, the old copy cannot back a crash rollback.
+  /// Drops the rollback origins that lie in a block about to be erased —
+  /// once erased, the old copy cannot back a crash rollback. Walks the
+  /// block's back-pointers only: O(units per block).
   void ForgetBufferedOldInBlock(std::uint32_t block_id);
   sim::Task<> CrashDriver(std::vector<sim::Time> at);
 
@@ -256,8 +285,16 @@ class ConvDevice : public nvme::Controller {
   sim::Semaphore buffer_slots_;      // units of buffered host data
   sim::Rng rng_;
 
-  std::vector<std::uint32_t> l2p_;   // logical unit -> phys unit/sentinel
-  std::vector<std::uint32_t> p2l_;   // phys unit -> logical unit/kUnmapped
+  /// Logical unit -> phys unit, kUnmapped, or a buffered entry (see
+  /// kBufferedBit above).
+  std::vector<std::uint32_t> l2p_;
+  /// Phys unit -> logical unit or kUnmapped. A valid unit points at its
+  /// owner. An invalid unit points at a logical unit only while it is
+  /// that buffered unit's rollback origin (the back-pointer): set when
+  /// the overwrite enters the buffer, cleared when the buffered page
+  /// programs, when the unit is trimmed, or when the origin's block is
+  /// erased.
+  std::vector<std::uint32_t> p2l_;
   std::vector<Block> blocks_;        // by block id
   std::vector<std::deque<std::uint32_t>> free_blocks_;  // per die
   std::unique_ptr<sim::Semaphore> free_sem_;  // counts the host pool
@@ -288,9 +325,6 @@ class ConvDevice : public nvme::Controller {
   /// Synced entries since the last checkpoint — the recovery replay tail.
   std::uint64_t journal_entries_since_checkpoint_ = 0;
   std::uint32_t journal_syncs_since_checkpoint_ = 0;
-  /// Pre-write mapping of every unit currently in the volatile buffer
-  /// (l2p == kInBuffer): what a power loss rolls the unit back to.
-  std::unordered_map<std::uint32_t, std::uint32_t> buffered_old_;
   /// Payload tags for buffered units, keyed by logical unit.
   std::unordered_map<std::uint32_t, std::uint64_t> pending_tags_;
   /// Payload tags by physical unit; empty until the first tagged write.

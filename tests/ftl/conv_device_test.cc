@@ -86,6 +86,7 @@ TEST(ConvDevice, ZoneCommandsAreInvalid) {
 TEST(ConvDevice, PrefillMapsTheWholeLogicalSpace) {
   Fixture f;
   f.dev.DebugPrefill();
+  f.dev.AuditMapping();
   // Every logical unit readable; reads hit NAND (not the buffer).
   EXPECT_TRUE(f.Run({.opcode = Opcode::kRead, .slba = 0, .nlb = 1}).ok());
   sim::Time lat = 0;
@@ -131,6 +132,8 @@ TEST(ConvDevice, GcPreservesAllData) {
   spec.queue_depth = 4;
   spec.duration = sim::Seconds(2);
   (void)workload::RunJob(f.sim, f.stack, spec);
+  EXPECT_GT(f.dev.counters().gc_blocks_erased, 0u) << "GC never ran";
+  f.dev.AuditMapping();
   // All reads still succeed after heavy churn.
   for (std::uint64_t lba = 0; lba < f.dev.info().capacity_lbas;
        lba += 97) {

@@ -40,6 +40,9 @@ explicit --tol rules, which take precedence by order):
     kv      bench_kv gates: the placement WA ratio keeps its floor,
             crash recovery stays corruption-free, throughput and read
             tails stay within drift bounds.
+    fig6    bench_fig6_gc_interference gates: every virtual-time series
+            (fig6*) matches the committed baseline to a relative 1e-6;
+            meta.* (wall time, host facts) stays ungated.
     multidev-speedup
             compares a --sim-threads=N run against a --sim-threads=1
             baseline of the same bench: wall time must drop >= 60%
@@ -76,6 +79,12 @@ PRESETS = {
         "kv_skew_kiops=0.25:down",
         "kv_interference_read_p99_us=0.5:up",
         "kv_crash_recovery_ms=0.5:both",
+    ),
+    # Fig. 6 (Obs. 11): the simulator is deterministic, so every
+    # virtual-time series must reproduce the baseline to rounding; a
+    # change that moves GC interference shows up here.
+    "fig6": (
+        "fig6*=1e-6:both",
     ),
     # Parallel-engine acceptance (DESIGN.md §12): the same bench run with
     # --sim-threads=N on >= 4 cores must finish in at most 40% of the

@@ -1070,7 +1070,8 @@ sim::Task<> ConvDevice::CrashNow() {
 void ConvDevice::DebugPrefill() {
   ZSTOR_CHECK_MSG(!layout_done_, "DebugPrefill must precede all I/O");
   // Logical page q (units q*upp ...) lands on die q % dies at on-die page
-  // q / dies; the walk fills that layout one block at a time.
+  // q / dies. The walk goes in logical order, so l2p_ fills sequentially;
+  // each block's bitmap and counters are then set once.
   const std::uint32_t dies = profile_.nand_geometry.total_dies();
   const std::uint32_t ppb = profile_.nand_geometry.pages_per_block;
   const std::uint32_t upp = profile_.units_per_page();
@@ -1078,31 +1079,42 @@ void ConvDevice::DebugPrefill() {
   const std::uint64_t pages = (logical_units + upp - 1) / upp;
   ZSTOR_CHECK(pages == 0 || (pages - 1) / dies / ppb <
                                 profile_.nand_geometry.blocks_per_die);
-  for (std::uint32_t die = 0; die < dies; ++die) {
-    for (std::uint32_t blk = 0; blk < profile_.nand_geometry.blocks_per_die;
-         ++blk) {
-      const std::uint32_t block_id = BlockIdOf(die, blk);
-      Block& b = blocks_[block_id];
-      std::uint32_t page = 0;
-      for (; page < ppb; ++page) {
-        const std::uint64_t q =
-            (static_cast<std::uint64_t>(blk) * ppb + page) * dies + die;
-        if (q >= pages) break;
-        for (std::uint32_t s = 0; s < upp && q * upp + s < logical_units;
-             ++s) {
-          const std::uint32_t u = static_cast<std::uint32_t>(q * upp + s);
-          const std::uint32_t phys = PhysUnit(block_id, page * upp + s);
-          l2p_[u] = phys;
-          p2l_[phys] = u;
-          SetValid(b, page * upp + s, true);
-          b.valid++;
-        }
+  for (std::uint64_t q = 0; q < pages; ++q) {
+    const std::uint64_t on_die = q / dies;
+    const std::uint32_t phys0 = PhysUnit(
+        BlockIdOf(static_cast<std::uint32_t>(q % dies),
+                  static_cast<std::uint32_t>(on_die / ppb)),
+        static_cast<std::uint32_t>(on_die % ppb) * upp);
+    const std::uint64_t u0 = q * upp;
+    const std::uint64_t u_end = std::min(u0 + upp, logical_units);
+    for (std::uint64_t u = u0; u < u_end; ++u) {
+      const std::uint32_t phys = phys0 + static_cast<std::uint32_t>(u - u0);
+      l2p_[u] = phys;
+      p2l_[phys] = static_cast<std::uint32_t>(u);
+    }
+  }
+  // Units of the last page past the logical end stay unmapped.
+  const std::uint64_t short_units = pages * upp - logical_units;
+  for (std::uint32_t die = 0; die < dies && die < pages; ++die) {
+    const std::uint64_t die_pages = (pages - die + dies - 1) / dies;
+    for (std::uint32_t blk = 0;
+         static_cast<std::uint64_t>(blk) * ppb < die_pages; ++blk) {
+      const std::uint32_t in_block = static_cast<std::uint32_t>(
+          std::min<std::uint64_t>(die_pages - std::uint64_t{blk} * ppb, ppb));
+      std::uint32_t valid = in_block * upp;
+      if ((pages - 1) % dies == die && (pages - 1) / dies / ppb == blk) {
+        valid -= static_cast<std::uint32_t>(short_units);
       }
-      if (page == 0) break;
+      Block& b = blocks_[BlockIdOf(die, blk)];
+      std::fill_n(b.valid_bitmap.begin(), valid / 64, ~std::uint64_t{0});
+      if (valid % 64 != 0) {
+        b.valid_bitmap[valid / 64] = (std::uint64_t{1} << (valid % 64)) - 1;
+      }
+      b.valid = valid;
       // A partially written last block counts as full, so it is
       // GC-eligible.
       b.write_ptr_units = units_per_block();
-      flash_->DebugProgramRange(die, blk, page);
+      flash_->DebugProgramRange(die, blk, in_block);
     }
   }
   FinalizeLayout();

@@ -17,6 +17,21 @@ const char* MatchFlag(const char* arg, const char* name) {
   return nullptr;
 }
 
+/// The process's peak resident set in MiB (VmHWM from /proc/self/status;
+/// 0 where that file does not exist). getrusage's ru_maxrss is not used:
+/// Linux carries it across execve, so it would count the launcher's RSS.
+double PeakRssMib() {
+  std::FILE* f = std::fopen("/proc/self/status", "r");
+  if (f == nullptr) return 0.0;
+  char line[256];
+  unsigned long long kib = 0;
+  while (std::fgets(line, sizeof(line), f) != nullptr) {
+    if (std::sscanf(line, "VmHWM: %llu kB", &kib) == 1) break;
+  }
+  std::fclose(f);
+  return static_cast<double>(kib) / 1024.0;
+}
+
 /// argv[0] without directories: the bench's name for the results file.
 std::string Basename(const char* argv0) {
   if (argv0 == nullptr) return "bench";
@@ -120,6 +135,9 @@ void BenchEnv::Finish() {
     std::chrono::duration<double, std::milli> wall =
         std::chrono::steady_clock::now() - wall_start_;
     results_.SetMeta("wall_ms", wall.count());
+    // Peak resident memory so far, for footprint gates ("meta.
+    // peak_rss_mib"); host-dependent, so identity checks drop it too.
+    results_.SetMeta("peak_rss_mib", PeakRssMib());
   }
   if (!metrics_path_.empty()) {
     std::FILE* f = std::fopen(metrics_path_.c_str(), "w");

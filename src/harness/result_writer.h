@@ -98,8 +98,9 @@ class ResultWriter {
 
   /// Records a run-environment measurement (last write wins) — emitted as
   /// a top-level "meta" object, separate from "config" so identity checks
-  /// can normalize it away. The canonical key is "wall_ms", the bench's
-  /// real elapsed time, stamped by BenchEnv::Finish for the speedup gate.
+  /// can normalize it away. BenchEnv::Finish stamps "wall_ms", the bench's
+  /// real elapsed time (for the speedup gate), and "peak_rss_mib", its
+  /// peak resident memory (for the footprint gate).
   void SetMeta(const std::string& key, double value);
 
   /// Gets or creates the series with this name. The unit is set on

@@ -30,7 +30,7 @@ FlashArray::FlashArray(sim::Simulator& s, const Geometry& geo,
   for (std::uint32_t c = 0; c < geo_.channels; ++c) {
     channels_.push_back(std::make_unique<sim::FifoResource>(s, 1));
   }
-  blocks_.resize(geo_.total_dies() * static_cast<std::size_t>(geo_.blocks_per_die));
+  chunks_.resize((geo_.total_blocks() + kBlockChunk - 1) / kBlockChunk);
   die_stats_.resize(geo_.total_dies());
   die_windows_.resize(geo_.total_dies());
 }
@@ -73,33 +73,44 @@ void FlashArray::EmitMediaError(std::uint32_t die, std::uint32_t block) {
   }
 }
 
-FlashArray::BlockState& FlashArray::Block(std::uint32_t die,
-                                          std::uint32_t block) {
-  CheckAddr(die, block);
-  return blocks_[static_cast<std::size_t>(die) * geo_.blocks_per_die + block];
-}
-
-const FlashArray::BlockState& FlashArray::Block(std::uint32_t die,
-                                                std::uint32_t block) const {
-  CheckAddr(die, block);
-  return blocks_[static_cast<std::size_t>(die) * geo_.blocks_per_die + block];
-}
-
-void FlashArray::CheckAddr(std::uint32_t die, std::uint32_t block) const {
+std::size_t FlashArray::BlockIndex(std::uint32_t die,
+                                   std::uint32_t block) const {
   ZSTOR_CHECK(die < geo_.total_dies());
   ZSTOR_CHECK(block < geo_.blocks_per_die);
+  return static_cast<std::size_t>(die) * geo_.blocks_per_die + block;
+}
+
+FlashArray::BlockState& FlashArray::Block(std::uint32_t die,
+                                          std::uint32_t block) {
+  const std::size_t i = BlockIndex(die, block);
+  std::unique_ptr<BlockChunk>& chunk = chunks_[i / kBlockChunk];
+  if (chunk == nullptr) chunk = std::make_unique<BlockChunk>();
+  return (*chunk)[i % kBlockChunk];
+}
+
+FlashArray::BlockState FlashArray::Peek(std::uint32_t die,
+                                        std::uint32_t block) const {
+  const std::size_t i = BlockIndex(die, block);
+  const std::unique_ptr<BlockChunk>& chunk = chunks_[i / kBlockChunk];
+  return chunk == nullptr ? BlockState{} : (*chunk)[i % kBlockChunk];
+}
+
+std::size_t FlashArray::AllocatedBlockChunks() const {
+  std::size_t n = 0;
+  for (const auto& chunk : chunks_) n += chunk != nullptr ? 1 : 0;
+  return n;
 }
 
 sim::Task<MediaStatus> FlashArray::ReadPage(PageAddr addr,
                                             std::uint32_t bytes) {
   ZSTOR_CHECK(bytes > 0 && bytes <= geo_.page_bytes);
-  ZSTOR_CHECK_MSG(addr.page < Block(addr.die, addr.block).write_ptr,
-                  "read of an unprogrammed page");
+  const BlockState blk = Peek(addr.die, addr.block);
+  ZSTOR_CHECK_MSG(addr.page < blk.write_ptr, "read of an unprogrammed page");
   telemetry::Tracer* tr = trace();
   fault::ReadVerdict verdict;
   if (faults_ != nullptr) {
     verdict = faults_->OnRead(sim_.now(), addr.die, addr.block,
-                              Block(addr.die, addr.block).pe_cycles);
+                              blk.pe_cycles);
   }
   sim::Time t0 = sim_.now();
   {
@@ -224,14 +235,14 @@ sim::Task<bool> FlashArray::ProbePage(PageAddr addr) {
              static_cast<std::int64_t>(addr.page));
   }
   counters_.recovery_probes++;
-  co_return addr.page < Block(addr.die, addr.block).write_ptr;
+  co_return addr.page < Peek(addr.die, addr.block).write_ptr;
 }
 
 void FlashArray::CrashDiscardTail(std::uint32_t die, std::uint32_t block,
                                   std::uint32_t new_write_ptr) {
+  const BlockState cur = Peek(die, block);
+  if (cur.retired || new_write_ptr >= cur.write_ptr) return;
   BlockState& blk = Block(die, block);
-  if (blk.retired) return;
-  if (new_write_ptr >= blk.write_ptr) return;
   counters_.crash_discarded_pages += blk.write_ptr - new_write_ptr;
   blk.write_ptr = new_write_ptr;
 }
@@ -276,14 +287,15 @@ sim::Time FlashArray::NoisyProgram() {
 void FlashArray::DebugProgramRange(std::uint32_t die, std::uint32_t block,
                                    std::uint32_t upto_page) {
   ZSTOR_CHECK(upto_page <= geo_.pages_per_block);
-  BlockState& blk = Block(die, block);
-  if (blk.write_ptr < upto_page) blk.write_ptr = upto_page;
+  if (Peek(die, block).write_ptr >= upto_page) return;
+  Block(die, block).write_ptr = upto_page;
 }
 
 void FlashArray::DeferredEraseBlock(std::uint32_t die, std::uint32_t block) {
+  const BlockState cur = Peek(die, block);
+  if (cur.retired) return;         // retired blocks are never recycled
+  if (cur.write_ptr == 0) return;  // nothing was programmed
   BlockState& blk = Block(die, block);
-  if (blk.retired) return;         // retired blocks are never recycled
-  if (blk.write_ptr == 0) return;  // nothing was programmed
   blk.write_ptr = 0;
   blk.pe_cycles++;
   counters_.block_erases++;
@@ -291,12 +303,12 @@ void FlashArray::DeferredEraseBlock(std::uint32_t die, std::uint32_t block) {
 
 std::uint32_t FlashArray::BlockWritePointer(std::uint32_t die,
                                             std::uint32_t block) const {
-  return Block(die, block).write_ptr;
+  return Peek(die, block).write_ptr;
 }
 
 std::uint32_t FlashArray::BlockPeCycles(std::uint32_t die,
                                         std::uint32_t block) const {
-  return Block(die, block).pe_cycles;
+  return Peek(die, block).pe_cycles;
 }
 
 bool FlashArray::MarkBlockRetired(std::uint32_t die, std::uint32_t block) {
@@ -308,7 +320,7 @@ bool FlashArray::MarkBlockRetired(std::uint32_t die, std::uint32_t block) {
 }
 
 bool FlashArray::BlockRetired(std::uint32_t die, std::uint32_t block) const {
-  return Block(die, block).retired;
+  return Peek(die, block).retired;
 }
 
 std::size_t FlashArray::DieQueueDepth(std::uint32_t die) const {

@@ -12,6 +12,7 @@
 //   * a block must be erased before its pages can be re-programmed.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <memory>
 #include <vector>
@@ -148,6 +149,15 @@ class FlashArray {
   bool MarkBlockRetired(std::uint32_t die, std::uint32_t block);
   bool BlockRetired(std::uint32_t die, std::uint32_t block) const;
 
+  /// Number of block-state chunks allocated so far. Block state is kept in
+  /// chunks of kBlockChunk blocks, allocated by the first operation that
+  /// changes a block in the chunk; a block in an unallocated chunk is
+  /// fresh (write pointer 0, no P/E cycles, not retired). Queries never
+  /// allocate. Exposed so tests can pin the footprint to the blocks a run
+  /// touched.
+  std::size_t AllocatedBlockChunks() const;
+  static constexpr std::uint32_t kBlockChunk = 64;
+
   /// Queue length (in-service + waiting) at a die; used by tests and by
   /// utilization-aware policies.
   std::size_t DieQueueDepth(std::uint32_t die) const;
@@ -165,9 +175,14 @@ class FlashArray {
     bool retired = false;
   };
 
+  using BlockChunk = std::array<BlockState, kBlockChunk>;
+
+  /// Mutable state of a block, allocating its chunk on first use.
   BlockState& Block(std::uint32_t die, std::uint32_t block);
-  const BlockState& Block(std::uint32_t die, std::uint32_t block) const;
-  void CheckAddr(std::uint32_t die, std::uint32_t block) const;
+  /// Read-only state of a block; never allocates (an unallocated block
+  /// reads as a fresh one).
+  BlockState Peek(std::uint32_t die, std::uint32_t block) const;
+  std::size_t BlockIndex(std::uint32_t die, std::uint32_t block) const;
 
   sim::Time NoisyRead();
   sim::Time NoisyProgram();
@@ -204,7 +219,10 @@ class FlashArray {
   sim::Rng rng_;
   std::vector<std::unique_ptr<sim::FifoResource>> dies_;
   std::vector<std::unique_ptr<sim::FifoResource>> channels_;
-  std::vector<BlockState> blocks_;  // [die * blocks_per_die + block]
+  // Chunk i holds blocks [i * kBlockChunk, (i + 1) * kBlockChunk) of the
+  // index die * blocks_per_die + block; null until first written. Chunks
+  // are never freed, so a BlockState& stays valid across co_await.
+  std::vector<std::unique_ptr<BlockChunk>> chunks_;
   std::vector<DieStats> die_stats_;
   FlashCounters counters_;
 };

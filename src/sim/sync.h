@@ -5,6 +5,11 @@
 // until another coroutine releases/pushes/signals. Waiters are resumed
 // through the event loop (ResumeSoon) so native stacks stay shallow and
 // wakeup order is deterministic FIFO.
+//
+// WaitGroup and OneShotEvent only ever wake all their waiters at once, so
+// they keep them in a std::vector: an idle one allocates nothing (a
+// std::deque allocates its first node on construction). Semaphore and
+// Queue hand waiters out one at a time from the front and keep deques.
 #pragma once
 
 #include <coroutine>
@@ -13,6 +18,7 @@
 #include <map>
 #include <optional>
 #include <utility>
+#include <vector>
 
 #include "sim/check.h"
 #include "sim/simulator.h"
@@ -96,7 +102,7 @@ class WaitGroup {
  private:
   Simulator& sim_;
   std::uint64_t count_ = 0;
-  std::deque<std::coroutine_handle<>> waiters_;
+  std::vector<std::coroutine_handle<>> waiters_;
 };
 
 /// One-shot event: waiters suspend until Set() is called once. Waiting on
@@ -126,7 +132,7 @@ class OneShotEvent {
  private:
   Simulator& sim_;
   bool set_ = false;
-  std::deque<std::coroutine_handle<>> waiters_;
+  std::vector<std::coroutine_handle<>> waiters_;
 };
 
 /// Unbounded FIFO channel. Push never blocks; Pop suspends until an item

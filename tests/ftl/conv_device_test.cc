@@ -2,6 +2,9 @@
 // amplification, and the throughput/latency dynamics behind Obs. 11.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "ftl/conv_device.h"
 #include "hostif/spdk_stack.h"
 #include "sim/task.h"
@@ -97,6 +100,49 @@ TEST(ConvDevice, PrefillMapsTheWholeLogicalSpace) {
             &lat)
           .ok());
   EXPECT_GT(sim::ToMicroseconds(lat), 60.0);  // paid a real tR
+}
+
+TEST(ConvDevice, PrefillFollowsTheDocumentedLayout) {
+  ConvProfile p = TinyConvProfile();
+  p.op_fraction = 0.23;  // leaves a partial last page and a partial block
+  Fixture f(p);
+  const nand::Geometry& geo = p.nand_geometry;
+  const std::uint32_t dies = geo.total_dies();
+  const std::uint32_t ppb = geo.pages_per_block;
+  const std::uint32_t upp = p.units_per_page();
+  const std::uint64_t units = f.dev.info().capacity_lbas;  // 4 KiB LBAs
+  const std::uint64_t pages = (units + upp - 1) / upp;
+  ASSERT_NE(units % upp, 0u);
+  ASSERT_NE((pages - 1) / dies % ppb, ppb - 1u);
+  f.dev.DebugPrefill();
+  f.dev.AuditMapping();
+  // Logical page q lies on die q % dies, at on-die page q / dies.
+  for (std::uint32_t die = 0; die < dies; ++die) {
+    const std::uint64_t die_pages = (pages + dies - 1 - die) / dies;
+    for (std::uint32_t blk = 0; blk < geo.blocks_per_die; ++blk) {
+      const std::uint64_t lo = std::uint64_t{blk} * ppb;
+      const std::uint64_t want =
+          die_pages > lo ? std::min<std::uint64_t>(die_pages - lo, ppb) : 0;
+      EXPECT_EQ(f.dev.flash().BlockWritePointer(die, blk), want)
+          << "die " << die << " block " << blk;
+    }
+  }
+  for (std::uint64_t u : {std::uint64_t{0}, std::uint64_t{3},
+                          std::uint64_t{4}, std::uint64_t{9},
+                          std::uint64_t{15}, std::uint64_t{2345},
+                          units - upp, units - 1}) {
+    const std::uint32_t die = static_cast<std::uint32_t>(u / upp % dies);
+    std::vector<std::uint64_t> before;
+    for (const nand::DieStats& d : f.dev.flash().die_stats()) {
+      before.push_back(d.reads);
+    }
+    ASSERT_TRUE(f.Run({.opcode = Opcode::kRead, .slba = u, .nlb = 1}).ok());
+    for (std::uint32_t d = 0; d < dies; ++d) {
+      EXPECT_EQ(f.dev.flash().die_stats()[d].reads,
+                before[d] + (d == die ? 1 : 0))
+          << "LBA " << u << " die " << d;
+    }
+  }
 }
 
 TEST(ConvDevice, SustainedOverwriteTriggersGcAndAmplifiesWrites) {

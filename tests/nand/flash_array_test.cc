@@ -157,6 +157,73 @@ TEST(FlashArray, EraseResetsWritePointerAndCountsPe) {
   EXPECT_EQ(arr.counters().block_erases, 1u);
 }
 
+TEST(FlashArrayLazyState, UntouchedBlocksReadFreshWithoutAllocating) {
+  sim::Simulator s;
+  FlashArray arr(s, Geometry{}, Timing{});  // 8192 blocks
+  bool probed = true;
+  auto body = [&]() -> sim::Task<> {
+    probed = co_await arr.ProbePage({5, 17, 3});
+  };
+  auto task = body();
+  s.Run();
+  EXPECT_FALSE(probed);
+  for (std::uint32_t die : {0u, 7u, 31u}) {
+    for (std::uint32_t blk : {0u, 63u, 64u, 255u}) {
+      EXPECT_EQ(arr.BlockWritePointer(die, blk), 0u);
+      EXPECT_EQ(arr.BlockPeCycles(die, blk), 0u);
+      EXPECT_FALSE(arr.BlockRetired(die, blk));
+    }
+  }
+  EXPECT_EQ(arr.AllocatedBlockChunks(), 0u);
+}
+
+TEST(FlashArrayLazyState, NoOpsOnNeverProgrammedBlocksAllocateNothing) {
+  sim::Simulator s;
+  FlashArray arr(s, Geometry{}, Timing{});
+  arr.DeferredEraseBlock(3, 40);
+  arr.CrashDiscardTail(3, 41, 0);
+  arr.DebugProgramRange(3, 42, 0);
+  EXPECT_EQ(arr.BlockPeCycles(3, 40), 0u);
+  EXPECT_EQ(arr.counters().block_erases, 0u);
+  EXPECT_EQ(arr.counters().crash_discarded_pages, 0u);
+  EXPECT_EQ(arr.AllocatedBlockChunks(), 0u);
+}
+
+TEST(FlashArrayLazyState, BlocksBesideUntouchedOnesKeepTheirState) {
+  // 100 blocks per die: chunks straddle dies, so die 0's last block and
+  // die 1's first share a chunk.
+  Geometry g = SmallGeo();
+  g.blocks_per_die = 100;
+  sim::Simulator s;
+  FlashArray arr(s, g, Timing{});
+  auto body = [&]() -> sim::Task<> {
+    co_await arr.ProgramPage({0, 99, 0});
+    co_await arr.ProgramPage({0, 99, 1});
+    co_await arr.ProgramPage({1, 0, 0});
+    co_await arr.EraseBlock(0, 99);
+    co_await arr.ProgramPage({0, 99, 0});
+  };
+  auto task = body();
+  s.Run();
+  EXPECT_TRUE(arr.MarkBlockRetired(1, 1));
+  EXPECT_EQ(arr.AllocatedBlockChunks(), 1u);
+  EXPECT_EQ(arr.BlockWritePointer(0, 99), 1u);
+  EXPECT_EQ(arr.BlockPeCycles(0, 99), 1u);
+  EXPECT_EQ(arr.BlockWritePointer(1, 0), 1u);
+  EXPECT_TRUE(arr.BlockRetired(1, 1));
+  // Neighbours inside the same chunk and in untouched chunks.
+  EXPECT_EQ(arr.BlockWritePointer(0, 98), 0u);
+  EXPECT_FALSE(arr.BlockRetired(1, 0));
+  EXPECT_EQ(arr.BlockWritePointer(1, 2), 0u);
+  EXPECT_EQ(arr.BlockWritePointer(0, 63), 0u);
+  EXPECT_EQ(arr.BlockPeCycles(1, 99), 0u);
+  EXPECT_EQ(arr.AllocatedBlockChunks(), 1u);
+  // The first write to a block in another chunk allocates that chunk.
+  arr.DebugProgramRange(2, 0, 4);
+  EXPECT_EQ(arr.BlockWritePointer(2, 0), 4u);
+  EXPECT_EQ(arr.AllocatedBlockChunks(), 2u);
+}
+
 TEST(FlashArrayDeathTest, NonSequentialProgramAborts) {
   EXPECT_DEATH(
       {

@@ -1,6 +1,7 @@
 // Runtime half of EventFn's performance contract (event_fn.h): once the
 // simulator's containers are warm, the coroutine-resume path and the
-// small-lambda scheduling path perform ZERO heap allocations per event.
+// small-lambda scheduling path perform ZERO heap allocations per event,
+// and a WaitGroup or OneShotEvent nobody waits on allocates nothing.
 // Every global allocation in this binary bumps a counter; the tests
 // read the delta across a measured window.
 #include <gtest/gtest.h>
@@ -10,6 +11,7 @@
 #include <new>
 
 #include "sim/simulator.h"
+#include "sim/sync.h"
 #include "sim/task.h"
 
 namespace {
@@ -96,6 +98,23 @@ TEST(AllocCount, ZeroDelayReadyRingPathIsAllocationFree) {
       g_allocs.load(std::memory_order_relaxed) - before;
   EXPECT_EQ(count, 32);
   EXPECT_EQ(delta, 0u) << "ready-ring path allocated";
+}
+
+TEST(AllocCount, IdleWaitGroupAndEventAllocateNothing) {
+  // A device keeps one WaitGroup per zone, most never waited on.
+  Simulator s;
+  std::uint64_t before = g_allocs.load(std::memory_order_relaxed);
+  {
+    WaitGroup wg(s);
+    wg.Add(2);
+    wg.Done();
+    wg.Done();
+    OneShotEvent ev(s);
+    ev.Set();
+  }
+  std::uint64_t delta =
+      g_allocs.load(std::memory_order_relaxed) - before;
+  EXPECT_EQ(delta, 0u) << "an idle sync primitive allocated";
 }
 
 }  // namespace

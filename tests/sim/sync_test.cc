@@ -103,6 +103,37 @@ TEST(WaitGroup, JoinsAllWorkers) {
   EXPECT_EQ(joined_at, 30u);
 }
 
+TEST(WaitGroup, WaitersResumeInFifoOrder) {
+  Simulator s;
+  WaitGroup wg(s);
+  wg.Add();
+  std::vector<int> order;
+  auto w = [&](int id) -> Task<> {
+    co_await wg.Wait();
+    order.push_back(id);
+  };
+  for (int i = 0; i < 5; ++i) Spawn(w(i));
+  s.ScheduleIn(10, [&] { wg.Done(); });
+  s.Run();
+  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4}));
+}
+
+TEST(OneShotEvent, WaitersResumeInFifoOrder) {
+  Simulator s;
+  OneShotEvent ev(s);
+  std::vector<int> order;
+  auto w = [&](int id) -> Task<> {
+    co_await ev.Wait();
+    order.push_back(id);
+  };
+  for (int i = 0; i < 5; ++i) Spawn(w(i));
+  s.ScheduleIn(10, [&] { ev.Set(); });
+  s.Run();
+  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4}));
+  Spawn(w(5));  // already set: no suspension
+  EXPECT_EQ(order.back(), 5);
+}
+
 TEST(Queue, PopBlocksUntilPush) {
   Simulator s;
   Queue<int> q(s);

@@ -1,7 +1,9 @@
 // Tests for the extended ZNS command surface: zone reports (Zone
-// Management Receive), reset-all (select_all), flush, and the NAND
-// endurance / wear-out model.
+// Management Receive), reset-all (select_all), flush, the NAND
+// endurance / wear-out model, and the NAND block-state footprint.
 #include <gtest/gtest.h>
+
+#include <set>
 
 #include "zns_test_util.h"
 
@@ -12,6 +14,7 @@ using nvme::Status;
 using nvme::ZoneAction;
 using zstor::zns::testing::Harness;
 using zstor::zns::testing::QuietTiny;
+using zstor::zns::testing::QuietZn540;
 
 nvme::Command Report(nvme::Lba slba, std::uint32_t max = 0) {
   return {.opcode = nvme::Opcode::kZoneMgmtRecv,
@@ -158,6 +161,35 @@ TEST(Wear, PeCyclesAreCountedPerBlock) {
   std::uint32_t bpz = h.dev.profile().blocks_per_zone_per_die();
   EXPECT_EQ(h.dev.flash()->BlockPeCycles(0, 0), 1u);
   EXPECT_EQ(h.dev.flash()->BlockPeCycles(0, bpz), 0u);  // zone 1's block
+}
+
+TEST(Footprint, Zn540HoldsBlockStateOnlyForTouchedZones) {
+  ZnsProfile p = QuietZn540();
+  p.pe_cycle_limit = 3;  // resets then also query every block's wear
+  Harness h(p);
+  const nand::FlashArray& flash = *h.dev.flash();
+  EXPECT_EQ(flash.AllocatedBlockChunks(), 0u);
+  // The chunks zone 0's blocks fall in, one or more per die.
+  const nand::Geometry& geo = h.dev.profile().nand_geometry;
+  const std::uint32_t bpz = h.dev.profile().blocks_per_zone_per_die();
+  std::set<std::uint64_t> zone0_chunks;
+  for (std::uint32_t die = 0; die < geo.total_dies(); ++die) {
+    for (std::uint32_t b = 0; b < bpz; ++b) {
+      zone0_chunks.insert((std::uint64_t{die} * geo.blocks_per_die + b) /
+                          nand::FlashArray::kBlockChunk);
+    }
+  }
+  h.dev.DebugFillZone(0, p.zone_cap_bytes);
+  EXPECT_EQ(flash.AllocatedBlockChunks(), zone0_chunks.size());
+  // Resetting a zone that was never written allocates nothing.
+  const std::uint32_t far_zone = h.dev.profile().num_zones - 1;
+  ASSERT_TRUE(h.Reset(far_zone).ok());
+  EXPECT_EQ(h.dev.GetZoneState(far_zone), ZoneState::kEmpty);
+  EXPECT_EQ(flash.AllocatedBlockChunks(), zone0_chunks.size());
+  // Nor does resetting the filled zone: its chunks already exist.
+  ASSERT_TRUE(h.Reset(0).ok());
+  EXPECT_EQ(flash.BlockPeCycles(0, 0), 1u);
+  EXPECT_EQ(flash.AllocatedBlockChunks(), zone0_chunks.size());
 }
 
 }  // namespace

@@ -16,9 +16,10 @@
 # Extra bench arguments (e.g. --devices=4 for bench_multidev) can be
 # passed via the ZID_BENCH_ARGS environment variable.
 #
-# The JSON results carry a "wall_ms" self-timing meta field that is real
-# elapsed time, not simulation output — it is normalized away before
-# comparison everywhere.
+# The JSON results carry "wall_ms" (real elapsed time) and "peak_rss_mib"
+# (the process's peak resident memory) meta fields that measure the host,
+# not the simulation — they are normalized away before comparison
+# everywhere.
 #
 # Exit 0 when all outputs match byte-for-byte, 1 otherwise.
 set -eu
@@ -31,9 +32,10 @@ extra="${ZID_BENCH_ARGS:-}"
 tmpdir="$(mktemp -d)"
 trap 'rm -rf "$tmpdir"' EXIT
 
-# Strips self-timed wall-clock meta (varies run to run by construction).
+# Strips self-measured host meta (varies run to run by construction).
 normalize_json() {
-  sed -e 's/"wall_ms":[0-9.eE+-]*/"wall_ms":0/g' "$1" > "$2"
+  sed -e 's/"wall_ms":[0-9.eE+-]*/"wall_ms":0/g' \
+      -e 's/"peak_rss_mib":[0-9.eE+-]*/"peak_rss_mib":0/g' "$1" > "$2"
 }
 
 fail=0

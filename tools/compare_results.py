@@ -43,6 +43,12 @@ explicit --tol rules, which take precedence by order):
     fig6    bench_fig6_gc_interference gates: every virtual-time series
             (fig6*) matches the committed baseline to a relative 1e-6;
             meta.* (wall time, host facts) stays ungated.
+    multidev
+            bench_multidev gates: every virtual-time series (multidev*)
+            matches the committed baseline to a relative 1e-6, and the
+            process's peak resident memory (meta.peak_rss_mib) rises at
+            most 25% — device state must stay proportional to the zones
+            a run touches. meta.wall_ms stays ungated.
     multidev-speedup
             compares a --sim-threads=N run against a --sim-threads=1
             baseline of the same bench: wall time must drop >= 60%
@@ -85,6 +91,14 @@ PRESETS = {
     # change that moves GC interference shows up here.
     "fig6": (
         "fig6*=1e-6:both",
+    ),
+    # Multi-device scale-out (DESIGN.md §12): deterministic in virtual
+    # time like fig6, plus a memory-footprint gate — a 4-device run of the
+    # full ZN540 geometry must not pay for blocks and zones it never
+    # touches (eager per-block state would add ~3.6 MiB per device).
+    "multidev": (
+        "multidev*=1e-6:both",
+        "meta.peak_rss_mib=0.25:up",
     ),
     # Parallel-engine acceptance (DESIGN.md §12): the same bench run with
     # --sim-threads=N on >= 4 cores must finish in at most 40% of the

@@ -217,29 +217,6 @@ void ConvDevice::MapUnit(std::uint32_t logical_unit,
   b.valid++;
 }
 
-sim::Task<std::uint32_t> ConvDevice::AcquireFreeBlock(
-    std::uint32_t preferred_die) {
-  if (free_total_ == 0) MaybeWakeGc();  // we are about to block on it
-  co_await free_sem_->Acquire();
-  if (crashed_) {
-    // Woken by CrashNow's drain (power is out, GC will not replenish the
-    // pool): consume the spurious permit and let the caller abort.
-    co_return kUnmapped;
-  }
-  std::uint32_t dies = profile_.nand_geometry.total_dies();
-  for (std::uint32_t i = 0; i < dies; ++i) {
-    std::uint32_t die = (preferred_die + i) % dies;
-    if (!free_blocks_[die].empty()) {
-      std::uint32_t id = free_blocks_[die].front();
-      free_blocks_[die].pop_front();
-      --free_total_;
-      MaybeWakeGc();
-      co_return id;
-    }
-  }
-  ZSTOR_CHECK_MSG(false, "free semaphore and pool out of sync");
-}
-
 void ConvDevice::ReleaseErasedBlock(std::uint32_t block_id) {
   std::uint32_t reserve_target = 2 * profile_.gc_workers + 2;
   if (gc_reserve_.size() < reserve_target) {
@@ -304,39 +281,38 @@ std::uint32_t ConvDevice::PickVictim() {
   return best;
 }
 
-sim::Task<> ConvDevice::GcProgramPage(
-    std::uint32_t block_id, std::uint32_t page,
-    std::vector<std::pair<std::uint32_t, std::uint32_t>> batch,
-    sim::WaitGroup* wg, std::uint64_t epoch) {
-  for (;;) {
-    const nand::MediaStatus st = co_await flash_->ProgramPage(
-        {DieOfBlockId(block_id), BlockOfBlockId(block_id), page});
-    if (power_epoch_ != epoch) {
-      // Power loss mid-migration: skip the remap — the victim copy is
-      // still physically intact (the erase never runs on a stale pass)
-      // and the mapping rollback already points there.
-      blocks_[block_id].inflight--;
-      wg->Done();
-      co_return;
-    }
-    if (st == nand::MediaStatus::kOk) break;
+void ConvDevice::GcPageProgrammed(GcPage& g) {
+  GcPass& pass = *g.pass;
+  std::uint32_t block_id = BlockIdOf(g.addr.die, g.addr.block);
+  if (power_epoch_ != pass.epoch) {
+    // Power loss mid-migration: skip the remap — the victim copy is
+    // still physically intact (the erase never runs on a stale pass)
+    // and the mapping rollback already points there.
+    blocks_[block_id].inflight--;
+    pass.wg.Done();
+    return;
+  }
+  const std::uint32_t upp = profile_.units_per_page();
+  if (g.status != nand::MediaStatus::kOk) {
     // Program failure: retire the output block and restage this batch
     // into a fresh GC block — survivors are still held in controller
     // memory, so GC heals the fault with no data loss.
     blocks_[block_id].inflight--;
     RetireBlock(block_id);
     counters_.program_retries++;
-    const std::uint32_t upp = profile_.units_per_page();
     block_id = TakeGcOpenBlock();
     Block& ob = blocks_[block_id];
-    page = ob.write_ptr_units / upp;
+    const std::uint32_t page = ob.write_ptr_units / upp;
     ob.write_ptr_units += upp;
     ob.inflight++;
     ReturnGcOpenBlock(block_id);
+    g.addr = {DieOfBlockId(block_id), BlockOfBlockId(block_id), page};
+    flash_->SubmitProgram(g);
+    return;
   }
-  std::uint32_t base = page * profile_.units_per_page();
-  std::uint32_t slot = 0;
-  for (auto [logical, old_phys] : batch) {
+  const std::uint32_t base = g.addr.page * upp;
+  for (std::uint32_t slot = 0; slot < g.count; ++slot) {
+    auto [logical, old_phys] = pass.survivors[g.first + slot];
     // Skip units the host overwrote while we migrated them.
     if (l2p_[logical] == old_phys) {
       std::uint32_t phys = PhysUnit(block_id, base + slot);
@@ -346,10 +322,9 @@ sim::Task<> ConvDevice::GcProgramPage(
       if (!tags_by_phys_.empty()) tags_by_phys_[phys] = tags_by_phys_[old_phys];
       counters_.gc_units_migrated++;
     }
-    ++slot;
   }
   blocks_[block_id].inflight--;
-  wg->Done();
+  pass.wg.Done();
 }
 
 std::uint32_t ConvDevice::TakeGcOpenBlock() {
@@ -398,70 +373,79 @@ void ConvDevice::ReturnGcOpenBlock(std::uint32_t block_id) {
   }
 }
 
-sim::Task<> ConvDevice::ReadVictimPage(nand::PageAddr addr,
-                                       sim::WaitGroup* wg) {
-  co_await flash_->ReadPage(addr, profile_.nand_geometry.page_bytes);
-  wg->Done();
-}
-
 sim::Task<> ConvDevice::MigrateAndErase(std::uint32_t victim) {
   Block& vb = blocks_[victim];
   const std::uint32_t die = DieOfBlockId(victim);
   const std::uint32_t blk = BlockOfBlockId(victim);
   const std::uint32_t upp = profile_.units_per_page();
-  const std::uint64_t epoch0 = power_epoch_;
+  GcPass pass(*this, power_epoch_);
   telemetry::Tracer* tr = trace();
   sim::Time migrate_begin = sim_.now();
 
   // Phase 1 — pipelined page reads: all valid pages of the victim are
   // queued on its die at once (firmware pipelines GC reads). Units are
   // snapshotted at scan time; stale ones are dropped at remap.
-  std::vector<std::pair<std::uint32_t, std::uint32_t>> survivors;
-  {
-    sim::WaitGroup rwg(sim_);
-    for (std::uint32_t page = 0;
-         page < profile_.nand_geometry.pages_per_block; ++page) {
-      bool any = false;
-      for (std::uint32_t s = 0; s < upp; ++s) {
-        std::uint32_t unit = page * upp + s;
-        if (!TestValid(vb, unit)) continue;
-        std::uint32_t phys = PhysUnit(victim, unit);
-        survivors.emplace_back(p2l_[phys], phys);
-        any = true;
-      }
-      if (!any) continue;
-      rwg.Add();
-      sim::Spawn(ReadVictimPage({die, blk, page}, &rwg));
-    }
-    co_await rwg.Wait();
+  const std::uint32_t upb = units_per_block();
+  for (std::uint32_t unit = 0; unit < upb; ++unit) {
+    if (!TestValid(vb, unit)) continue;
+    const std::uint32_t phys = PhysUnit(victim, unit);
+    pass.survivors.emplace_back(p2l_[phys], phys);
   }
+  const std::size_t n = pass.survivors.size();
+  // One read per victim page holding survivors; the records are sized
+  // before any is submitted, so none moves while queued.
+  auto page_of = [&](std::size_t i) {
+    return pass.survivors[i].second % upb / upp;
+  };
+  std::size_t pages = 0;
+  for (std::size_t i = 0; i < n; ++i) {
+    if (i == 0 || page_of(i) != page_of(i - 1)) ++pages;
+  }
+  std::vector<GcPage> reads(pages);
+  for (std::size_t i = 0, k = 0; i < n; ++i) {
+    if (i > 0 && page_of(i) == page_of(i - 1)) continue;
+    GcPage& r = reads[k++];
+    r.addr = {die, blk, page_of(i)};
+    r.bytes = profile_.nand_geometry.page_bytes;
+    r.done = [](nand::PageOp& op) {
+      static_cast<GcPage&>(op).pass->wg.Done();
+    };
+    r.pass = &pass;
+    pass.wg.Add();
+    flash_->SubmitRead(r);
+  }
+  co_await pass.wg.Wait();
 
   // Phase 2 — parallel program-out: page batches fan out across dies.
-  {
-    sim::WaitGroup pwg(sim_);
-    std::uint32_t open = kUnmapped;
-    for (std::size_t i = 0; i < survivors.size(); i += upp) {
-      std::vector<std::pair<std::uint32_t, std::uint32_t>> batch(
-          survivors.begin() + static_cast<std::ptrdiff_t>(i),
-          survivors.begin() + static_cast<std::ptrdiff_t>(
-                                  std::min(i + upp, survivors.size())));
-      if (open == kUnmapped ||
-          blocks_[open].write_ptr_units == units_per_block()) {
-        if (open != kUnmapped) ReturnGcOpenBlock(open);
-        open = TakeGcOpenBlock();
-      }
-      Block& ob = blocks_[open];
-      std::uint32_t page = ob.write_ptr_units / upp;
-      ob.write_ptr_units += upp;
-      ob.inflight++;
-      pwg.Add();
-      sim::Spawn(GcProgramPage(open, page, std::move(batch), &pwg, epoch0));
+  std::vector<GcPage> programs((n + upp - 1) / upp);
+  std::uint32_t open = kUnmapped;
+  for (std::size_t k = 0; k < programs.size(); ++k) {
+    if (open == kUnmapped ||
+        blocks_[open].write_ptr_units == units_per_block()) {
+      if (open != kUnmapped) ReturnGcOpenBlock(open);
+      open = TakeGcOpenBlock();
     }
-    if (open != kUnmapped) ReturnGcOpenBlock(open);
-    co_await pwg.Wait();
+    Block& ob = blocks_[open];
+    std::uint32_t page = ob.write_ptr_units / upp;
+    ob.write_ptr_units += upp;
+    ob.inflight++;
+    GcPage& g = programs[k];
+    g.addr = {DieOfBlockId(open), BlockOfBlockId(open), page};
+    g.done = [](nand::PageOp& op) {
+      auto& self = static_cast<GcPage&>(op);
+      self.pass->dev.GcPageProgrammed(self);
+    };
+    g.pass = &pass;
+    g.first = static_cast<std::uint32_t>(k * upp);
+    g.count =
+        static_cast<std::uint32_t>(std::min<std::size_t>(upp, n - k * upp));
+    pass.wg.Add();
+    flash_->SubmitProgram(g);
   }
+  if (open != kUnmapped) ReturnGcOpenBlock(open);
+  co_await pass.wg.Wait();
 
-  if (power_epoch_ != epoch0) {
+  if (power_epoch_ != pass.epoch) {
     // Power loss during migration: abort without erasing. Whatever was
     // remapped before the cut was reverted by the journal rollback, so
     // the victim's valid units are intact and it stays GC-eligible for
@@ -475,13 +459,13 @@ sim::Task<> ConvDevice::MigrateAndErase(std::uint32_t victim) {
   if (tr != nullptr) {
     tr->Span(migrate_begin, sim_.now(), /*cmd=*/0, Layer::kFtl,
              "gc.migrate", static_cast<std::int64_t>(victim),
-             static_cast<std::int64_t>(survivors.size()));
+             static_cast<std::int64_t>(n));
   }
   if (telemetry::TimelineWriter* tl = timeline(); tl != nullptr) {
     tl->Window(migrate_begin, sim_.now() - migrate_begin,
                telem_->timeline_label(), /*lane=*/0, "gc.migrate",
                static_cast<std::int64_t>(victim),
-               static_cast<std::int64_t>(survivors.size()));
+               static_cast<std::int64_t>(n));
   }
 
   // All surviving units moved; any remaining valid bits belong to host
@@ -782,11 +766,7 @@ sim::Task<Completion> ConvDevice::DoFlush(Command cmd) {
     co_return Completion{.status = Status::kDeviceReset};
   }
   if (!pending_units_.empty()) {
-    std::vector<std::uint32_t> batch(pending_units_.begin(),
-                                     pending_units_.end());
-    pending_units_.clear();
-    inflight_programs_.Add();
-    sim::Spawn(ProgramHostPage(std::move(batch), epoch0));
+    ProgramHostPage(pending_units_.size(), epoch0);
   }
   co_await inflight_programs_.Wait();
   if (power_epoch_ != epoch0) {
@@ -809,89 +789,140 @@ sim::Task<> ConvDevice::AdmitUnit(std::uint32_t logical_unit,
   }
   pending_units_.push_back(logical_unit);
   if (pending_units_.size() >= profile_.units_per_page()) {
-    std::vector<std::uint32_t> batch(
-        pending_units_.begin(),
-        pending_units_.begin() + profile_.units_per_page());
-    pending_units_.erase(pending_units_.begin(),
-                         pending_units_.begin() + profile_.units_per_page());
-    inflight_programs_.Add();
-    sim::Spawn(ProgramHostPage(std::move(batch), epoch));
+    ProgramHostPage(profile_.units_per_page(), epoch);
   }
 }
 
-sim::Task<> ConvDevice::ProgramHostPage(std::vector<std::uint32_t> units,
-                                        std::uint64_t epoch) {
+void ConvDevice::ProgramHostPage(std::size_t n, std::uint64_t epoch) {
+  const std::uint32_t upp = profile_.units_per_page();
+  ZSTOR_CHECK(n > 0 && n <= upp && n <= pending_units_.size());
+  if (free_host_pages_.empty()) {
+    // Grow the pool by a chunk; its records stay free-listed for reuse.
+    HostPageChunk& c = host_page_chunks_.emplace_back(HostPageChunk{
+        std::make_unique<HostPage[]>(kHostPageChunk),
+        std::make_unique<std::uint32_t[]>(std::size_t{kHostPageChunk} * upp)});
+    for (std::uint32_t i = kHostPageChunk; i-- > 0;) {
+      HostPage& hp = c.pages[i];
+      hp.dev = this;
+      hp.units = &c.units[std::size_t{i} * upp];
+      hp.done = [](nand::PageOp& op) {
+        auto& self = static_cast<HostPage&>(op);
+        self.dev->HostPageProgrammed(self);
+      };
+      free_host_pages_.push_back(&hp);
+    }
+  }
+  HostPage& hp = *free_host_pages_.back();
+  free_host_pages_.pop_back();
+  std::copy_n(pending_units_.begin(), n, hp.units);
+  pending_units_.erase(pending_units_.begin(),
+                       pending_units_.begin() + static_cast<std::ptrdiff_t>(n));
+  hp.n_units = static_cast<std::uint32_t>(n);
+  hp.epoch = epoch;
+  inflight_programs_.Add();
+  hp.stream = next_die_rr_++ % profile_.nand_geometry.total_dies();
+  LockHostStream(hp);
+}
+
+void ConvDevice::LockHostStream(HostPage& hp) {
+  // Per-stream allocation lock: block lookup + page reservation is atomic
+  // with respect to other programs on the same stream. (The stream's
+  // block usually lives on the same-numbered die but may come from
+  // another die under pressure.)
+  die_alloc_[hp.stream]->AcquireThen([this, &hp] { ReserveHostPage(hp); });
+}
+
+void ConvDevice::ReserveHostPage(HostPage& hp) {
+  if (power_epoch_ != hp.epoch) {
+    // Crashed while queued behind the allocator.
+    die_alloc_[hp.stream]->Release();
+    FinishHostPage(hp, /*stale=*/true);
+    return;
+  }
+  const std::uint32_t block_id = host_open_block_[hp.stream];
+  if (block_id != kUnmapped &&
+      blocks_[block_id].write_ptr_units != units_per_block()) {
+    SubmitHostPage(hp, block_id);
+    return;
+  }
+  if (block_id != kUnmapped) blocks_[block_id].open = false;
+  // Take a free block, waiting (with the stream locked) while the pool is
+  // empty — the host-write stall behind the Fig. 6a throughput collapses.
+  if (free_total_ == 0) MaybeWakeGc();  // we are about to block on it
+  free_sem_->AcquireThen([this, &hp] { OpenHostBlock(hp); });
+}
+
+void ConvDevice::OpenHostBlock(HostPage& hp) {
+  if (crashed_) {
+    // Woken by CrashNow's drain (power is out, GC will not replenish the
+    // pool): consume the spurious permit and abort.
+    die_alloc_[hp.stream]->Release();
+    FinishHostPage(hp, /*stale=*/true);
+    return;
+  }
   const std::uint32_t dies = profile_.nand_geometry.total_dies();
-  const std::uint32_t stream = next_die_rr_++ % dies;
-  std::uint32_t block_id;
-  std::uint32_t page;
-  bool stale = false;
-  for (;;) {
-    {
-      // Per-stream allocation lock: block lookup + page reservation is
-      // atomic with respect to other programs on the same stream. (The
-      // stream's block usually lives on the same-numbered die but may
-      // come from another die under pressure.)
-      auto g = co_await die_alloc_[stream]->Acquire();
-      if (power_epoch_ != epoch) {
-        stale = true;  // crashed while queued behind the allocator
-      } else {
-        block_id = host_open_block_[stream];
-        if (block_id == kUnmapped ||
-            blocks_[block_id].write_ptr_units == units_per_block()) {
-          if (block_id != kUnmapped) blocks_[block_id].open = false;
-          block_id = co_await AcquireFreeBlock(stream);
-          if (block_id == kUnmapped) {
-            stale = true;  // crash drained the free-block waiters
-          } else {
-            host_open_block_[stream] = block_id;
-            blocks_[block_id].open = true;
-          }
-        }
-        if (!stale) {
-          Block& b = blocks_[block_id];
-          page = b.write_ptr_units / profile_.units_per_page();
-          b.write_ptr_units += profile_.units_per_page();
-          b.inflight++;
-          if (b.write_ptr_units == units_per_block()) {
-            b.open = false;
-            host_open_block_[stream] = kUnmapped;
-          }
-        }
-      }
-    }
-    if (stale) break;
-    const nand::MediaStatus st = co_await flash_->ProgramPage(
-        {DieOfBlockId(block_id), BlockOfBlockId(block_id), page});
-    blocks_[block_id].inflight--;
-    if (power_epoch_ != epoch) {
-      // The program raced a power loss. Whether the page physically
-      // completed or tore is moot: it was never mapped, so the crash
-      // rollback already reverted these units to their durable copies.
-      // The reserved page stays consumed (dead space — crash-induced
-      // write amplification).
-      stale = true;
-      break;
-    }
-    if (st == nand::MediaStatus::kOk) break;
+  for (std::uint32_t i = 0; i < dies; ++i) {
+    std::deque<std::uint32_t>& pool = free_blocks_[(hp.stream + i) % dies];
+    if (pool.empty()) continue;
+    const std::uint32_t id = pool.front();
+    pool.pop_front();
+    --free_total_;
+    MaybeWakeGc();
+    host_open_block_[hp.stream] = id;
+    blocks_[id].open = true;
+    SubmitHostPage(hp, id);
+    return;
+  }
+  ZSTOR_CHECK_MSG(false, "free semaphore and pool out of sync");
+}
+
+void ConvDevice::SubmitHostPage(HostPage& hp, std::uint32_t block_id) {
+  Block& b = blocks_[block_id];
+  const std::uint32_t page = b.write_ptr_units / profile_.units_per_page();
+  b.write_ptr_units += profile_.units_per_page();
+  b.inflight++;
+  if (b.write_ptr_units == units_per_block()) {
+    b.open = false;
+    host_open_block_[hp.stream] = kUnmapped;
+  }
+  die_alloc_[hp.stream]->Release();
+  hp.addr = {DieOfBlockId(block_id), BlockOfBlockId(block_id), page};
+  flash_->SubmitProgram(hp);
+}
+
+void ConvDevice::HostPageProgrammed(HostPage& hp) {
+  const std::uint32_t block_id = BlockIdOf(hp.addr.die, hp.addr.block);
+  blocks_[block_id].inflight--;
+  if (power_epoch_ != hp.epoch) {
+    // The program raced a power loss. Whether the page physically
+    // completed or tore is moot: it was never mapped, so the crash
+    // rollback already reverted these units to their durable copies.
+    // The reserved page stays consumed (dead space — crash-induced
+    // write amplification).
+    FinishHostPage(hp, /*stale=*/true);
+    return;
+  }
+  if (hp.status != nand::MediaStatus::kOk) {
     // Program failure: the units are still buffered, so retire the bad
     // block and re-drive the page into a fresh allocation — the fault is
     // invisible to the host beyond the extra latency.
     RetireBlock(block_id);
     counters_.program_retries++;
+    LockHostStream(hp);
+    return;
   }
-  if (stale) {
-    for (std::size_t i = 0; i < units.size(); ++i) buffer_slots_.Release();
-    inflight_programs_.Done();
-    co_return;
-  }
-  std::uint32_t base = page * profile_.units_per_page();
-  for (std::uint32_t i = 0; i < units.size(); ++i) {
-    std::uint32_t u = units[i];
+  FinishHostPage(hp, /*stale=*/false);
+}
+
+void ConvDevice::FinishHostPage(HostPage& hp, bool stale) {
+  const std::uint32_t base = hp.addr.page * profile_.units_per_page();
+  const std::uint32_t block_id = BlockIdOf(hp.addr.die, hp.addr.block);
+  for (std::uint32_t i = 0; i < hp.n_units; ++i) {
+    const std::uint32_t u = hp.units[i];
     // Map only if this unit is still waiting on this buffered write (the
     // host may have overwritten it again while it sat in the buffer).
-    if (IsBuffered(l2p_[u])) {
-      std::uint32_t phys = PhysUnit(block_id, base + i);
+    if (!stale && IsBuffered(l2p_[u])) {
+      const std::uint32_t phys = PhysUnit(block_id, base + i);
       const std::uint32_t origin = ReleaseOrigin(u);
       MapUnit(u, phys);
       JournalAppend(u, origin, phys);
@@ -901,9 +932,10 @@ sim::Task<> ConvDevice::ProgramHostPage(std::vector<std::uint32_t> units,
       }
     }
     buffer_slots_.Release();
-    counters_.host_units_programmed++;
+    if (!stale) counters_.host_units_programmed++;
   }
   inflight_programs_.Done();
+  free_host_pages_.push_back(&hp);
 }
 
 // ------------------------------------- mapping journal & crash recovery

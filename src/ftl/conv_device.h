@@ -1,8 +1,11 @@
 // ConvDevice: the conventional (page-mapped FTL) NVMe SSD model.
 //
-// Write path: FCP -> post stage -> write-back buffer; a drain process
-// packs 4 KiB mapping units into 16 KiB NAND pages and programs them
-// round-robin across dies. Overwrites invalidate the unit's old physical
+// Write path: FCP -> post stage -> write-back buffer. Each full NAND
+// page of buffered 4 KiB mapping units becomes a HostPage record that is
+// programmed round-robin across dies (16 KiB pages). While it waits for
+// its allocation stream, a free block or its die, a page is only that
+// pooled record in a FIFO — no coroutine frame, no heap vector
+// (DESIGN.md §11). Overwrites invalidate the unit's old physical
 // location. When the free-block pool runs low, background GC workers pick
 // the fullest-garbage (min-valid) blocks, migrate the surviving units and
 // erase — consuming the same dies and channels as host I/O, which is what
@@ -111,6 +114,8 @@ class ConvDevice : public nvme::Controller {
   sim::Time last_recovery_ns() const { return last_recovery_ns_; }
   nand::FlashArray& flash() { return *flash_; }
   std::uint32_t free_blocks() const { return free_total_; }
+  /// Write-buffer slots (mapping units) holding no host data.
+  std::uint64_t free_buffer_units() const { return buffer_slots_.available(); }
   bool gc_active() const { return gc_running_ > 0; }
 
   // ---- log pages (nvme/log_page.h) ------------------------------------
@@ -212,11 +217,41 @@ class ConvDevice : public nvme::Controller {
   /// `epoch` is the power epoch of the issuing command; admission after a
   /// crash is a no-op (the command is failing with kDeviceReset anyway).
   sim::Task<> AdmitUnit(std::uint32_t logical_unit, std::uint64_t epoch);
-  /// Programs one NAND page holding `units` pending logical units. A
-  /// stale-epoch completion releases its resources without mapping —
-  /// the crash already rolled those units back.
-  sim::Task<> ProgramHostPage(std::vector<std::uint32_t> units,
-                              std::uint64_t epoch);
+
+  // ---- host page programs ---------------------------------------------
+  // A buffered NAND page on its way to flash is a HostPage record, not a
+  // coroutine: while it waits for its stream's allocation lock, a free
+  // block or its die, it is only the record in that FIFO. The steps below
+  // run it: lock the stream, take a block if the stream has none, reserve
+  // a page, program it, then map its units (or retry on a fresh block
+  // after a program failure). A stale-epoch record releases its buffer
+  // slots without mapping — the crash already rolled those units back.
+  struct HostPage : nand::PageOp {
+    ConvDevice* dev = nullptr;
+    std::uint32_t* units = nullptr;  // units_per_page() slots in its chunk
+    std::uint64_t epoch = 0;         // power epoch of the admitting write
+    std::uint32_t stream = 0;        // allocation stream (die index)
+    std::uint32_t n_units = 0;
+  };
+  /// Records are pooled in chunks that are never freed, so a record keeps
+  /// its address while it is queued; the pool grows to the peak number of
+  /// pages in flight.
+  struct HostPageChunk {
+    std::unique_ptr<HostPage[]> pages;
+    std::unique_ptr<std::uint32_t[]> units;
+  };
+  static constexpr std::uint32_t kHostPageChunk = 256;
+  /// Starts programming the first `n` (<= units_per_page()) pending units
+  /// as one NAND page.
+  void ProgramHostPage(std::size_t n, std::uint64_t epoch);
+  void LockHostStream(HostPage& hp);
+  void ReserveHostPage(HostPage& hp);
+  void OpenHostBlock(HostPage& hp);
+  void SubmitHostPage(HostPage& hp, std::uint32_t block_id);
+  void HostPageProgrammed(HostPage& hp);
+  /// Releases the record's buffer slots, mapping its units first unless
+  /// `stale`, and returns it to the pool.
+  void FinishHostPage(HostPage& hp, bool stale);
 
   // ---- mapping journal & crash path (DESIGN.md §11) -------------------
   struct JournalEntry {
@@ -241,9 +276,6 @@ class ConvDevice : public nvme::Controller {
   // journal). Allocated lazily on the first tagged write.
   void CommitTag(std::uint32_t phys_unit, std::uint64_t tag);
   std::uint64_t TagOfLogical(std::uint32_t logical_unit) const;
-  /// Pops a free block (suspends while the pool is empty — this is the
-  /// host-write stall that produces the Fig. 6a throughput collapses).
-  sim::Task<std::uint32_t> AcquireFreeBlock(std::uint32_t preferred_die);
   void ReleaseErasedBlock(std::uint32_t block_id);
 
   // ---- GC ---------------------------------------------------------------
@@ -255,16 +287,31 @@ class ConvDevice : public nvme::Controller {
   /// leaks in partial blocks.
   std::uint32_t TakeGcOpenBlock();
   void ReturnGcOpenBlock(std::uint32_t block_id);
+  /// One MigrateAndErase pass: its survivors and the join of its page
+  /// copies. It lives in the pass's frame, beside the GcPage records (a
+  /// victim page read or an output page program each) that point at it.
+  struct GcPass {
+    GcPass(ConvDevice& d, std::uint64_t e) : dev(d), epoch(e), wg(d.sim_) {}
+    ConvDevice& dev;
+    std::uint64_t epoch;  // power epoch the pass started in
+    sim::WaitGroup wg;
+    /// (logical unit, physical unit) of each valid victim unit at scan
+    /// time; stale ones are dropped at remap.
+    std::vector<std::pair<std::uint32_t, std::uint32_t>> survivors;
+  };
+  struct GcPage : nand::PageOp {
+    GcPass* pass = nullptr;
+    std::uint32_t first = 0;  // a program's batch: survivors[first,
+    std::uint32_t count = 0;  // first + count)
+  };
   sim::Task<> MigrateAndErase(std::uint32_t victim);
-  sim::Task<> ReadVictimPage(nand::PageAddr addr, sim::WaitGroup* wg);
+  /// Remaps a programmed batch, or re-drives it into a fresh GC block
+  /// after a program failure.
+  void GcPageProgrammed(GcPage& g);
   /// Takes a retired block out of every allocation path (free pools never
   /// see it again; its valid units stay mapped and readable). Returns
   /// true if the block was newly retired.
   bool RetireBlock(std::uint32_t block_id);
-  sim::Task<> GcProgramPage(
-      std::uint32_t block_id, std::uint32_t page,
-      std::vector<std::pair<std::uint32_t, std::uint32_t>> batch,
-      sim::WaitGroup* wg, std::uint64_t epoch);
 
   sim::Time Noise(sim::Time t);
   telemetry::Tracer* trace() const {
@@ -305,6 +352,8 @@ class ConvDevice : public nvme::Controller {
 
   /// Host write packing: units waiting to fill the next NAND page.
   std::vector<std::uint32_t> pending_units_;
+  std::vector<HostPageChunk> host_page_chunks_;
+  std::vector<HostPage*> free_host_pages_;
   std::uint32_t next_die_rr_ = 0;  // round-robin allocation stream
   /// One allocation stream per die index; the stream's current block may
   /// physically live on another die when the preferred die has no free

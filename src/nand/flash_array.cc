@@ -101,141 +101,194 @@ std::size_t FlashArray::AllocatedBlockChunks() const {
   return n;
 }
 
-sim::Task<MediaStatus> FlashArray::ReadPage(PageAddr addr,
-                                            std::uint32_t bytes) {
-  ZSTOR_CHECK(bytes > 0 && bytes <= geo_.page_bytes);
-  const BlockState blk = Peek(addr.die, addr.block);
-  ZSTOR_CHECK_MSG(addr.page < blk.write_ptr, "read of an unprogrammed page");
-  telemetry::Tracer* tr = trace();
-  fault::ReadVerdict verdict;
-  if (faults_ != nullptr) {
-    verdict = faults_->OnRead(sim_.now(), addr.die, addr.block,
-                              blk.pe_cycles);
-  }
-  sim::Time t0 = sim_.now();
-  {
-    auto die = co_await dies_[addr.die]->Acquire();
-    sim::Time svc_begin = sim_.now();
-    sim::Time t_read = NoisyRead();
-    if (verdict.retry_steps > 0) {
-      // Read-retry: the die re-senses with stepped voltages; every step
-      // costs a full extra sensing pass.
-      sim::Time t_retry = verdict.retry_steps *
-                          faults_->spec().read_retry_penalty;
-      if (tr != nullptr) {
-        tr->Span(sim_.now() + t_read, sim_.now() + t_read + t_retry,
-                 /*cmd=*/0, Layer::kNand, "die.read_retry",
-                 static_cast<std::int64_t>(addr.die),
-                 static_cast<std::int64_t>(verdict.retry_steps));
-      }
-      t_read += t_retry;
-    }
-    co_await sim_.Delay(t_read);
-    die_stats_[addr.die].reads++;
-    die_stats_[addr.die].busy_ns += t_read;
-    NoteDieService(addr.die, svc_begin, sim_.now());
-  }
-  if (verdict.uncorrectable) {
-    // ECC exhausted: nothing to transfer to the host.
-    if (tr != nullptr) {
-      tr->Instant(sim_.now(), /*cmd=*/0, Layer::kNand, "media.error",
-                  static_cast<std::int64_t>(addr.die),
-                  static_cast<std::int64_t>(addr.block));
-    }
-    EmitMediaError(addr.die, addr.block);
-    counters_.page_reads++;
-    counters_.read_errors++;
-    co_return MediaStatus::kReadError;
-  }
-  {
-    auto chan = co_await channels_[geo_.channel_of({addr.die})]->Acquire();
-    // Bus time scales with the fraction of the page transferred.
-    sim::Time xfer = timing_.bus_xfer_page * bytes / geo_.page_bytes;
-    co_await sim_.Delay(xfer);
-  }
-  if (tr != nullptr) {
-    tr->Span(t0, sim_.now(), /*cmd=*/0, Layer::kNand, "die.read",
-             static_cast<std::int64_t>(addr.die),
-             static_cast<std::int64_t>(bytes));
-  }
-  counters_.page_reads++;
-  counters_.bytes_read += bytes;
-  if (verdict.retry_steps > 0) counters_.read_retries++;
-  co_return MediaStatus::kOk;
+// Each operation runs as a chain of steps over its record: a step that
+// needs a die or a channel queues on it (AcquireThen) and runs once the
+// slot is granted, and each timed service is one scheduled event. The
+// chain keeps the event structure of a coroutine that awaits the same
+// resources and delays, so the FIFO order at every die and channel, the
+// RNG draw order and the (time, seq) order of events are exactly those
+// of that coroutine.
+
+void FlashArray::EndDieService(const PageOp& op,
+                               std::uint64_t DieStats::*count) {
+  const std::uint32_t die = op.addr.die;
+  ++(die_stats_[die].*count);
+  die_stats_[die].busy_ns += op.service;
+  NoteDieService(die, sim_.now() - op.service, sim_.now());
+  dies_[die]->Release();
 }
 
-sim::Task<MediaStatus> FlashArray::ProgramPage(PageAddr addr) {
-  BlockState& blk = Block(addr.die, addr.block);
-  ZSTOR_CHECK_MSG(addr.page == blk.write_ptr,
+void FlashArray::SubmitRead(PageOp& op) {
+  ZSTOR_CHECK(op.bytes > 0 && op.bytes <= geo_.page_bytes);
+  const BlockState blk = Peek(op.addr.die, op.addr.block);
+  ZSTOR_CHECK_MSG(op.addr.page < blk.write_ptr,
+                  "read of an unprogrammed page");
+  fault::ReadVerdict verdict;
+  if (faults_ != nullptr) {
+    verdict = faults_->OnRead(sim_.now(), op.addr.die, op.addr.block,
+                              blk.pe_cycles);
+  }
+  op.retry_steps = verdict.retry_steps;
+  op.fault = verdict.uncorrectable;
+  op.t0 = sim_.now();
+  dies_[op.addr.die]->AcquireThen([this, &op] {
+    op.service = NoisyRead();
+    if (op.retry_steps > 0) {
+      // Read-retry: the die re-senses with stepped voltages; every step
+      // costs a full extra sensing pass.
+      sim::Time t_retry = op.retry_steps * faults_->spec().read_retry_penalty;
+      if (telemetry::Tracer* tr = trace(); tr != nullptr) {
+        tr->Span(sim_.now() + op.service, sim_.now() + op.service + t_retry,
+                 /*cmd=*/0, Layer::kNand, "die.read_retry",
+                 static_cast<std::int64_t>(op.addr.die),
+                 static_cast<std::int64_t>(op.retry_steps));
+      }
+      op.service += t_retry;
+    }
+    sim_.ScheduleIn(op.service, [this, &op] { EndRead(op); });
+  });
+}
+
+void FlashArray::EndRead(PageOp& op) {
+  EndDieService(op, &DieStats::reads);
+  if (op.fault) {
+    // ECC exhausted: nothing to transfer to the host.
+    if (telemetry::Tracer* tr = trace(); tr != nullptr) {
+      tr->Instant(sim_.now(), /*cmd=*/0, Layer::kNand, "media.error",
+                  static_cast<std::int64_t>(op.addr.die),
+                  static_cast<std::int64_t>(op.addr.block));
+    }
+    EmitMediaError(op.addr.die, op.addr.block);
+    counters_.page_reads++;
+    counters_.read_errors++;
+    op.status = MediaStatus::kReadError;
+    op.done(op);
+    return;
+  }
+  ChannelOf(op).AcquireThen([this, &op] {
+    // Bus time scales with the fraction of the page transferred.
+    sim_.ScheduleIn(timing_.bus_xfer_page * op.bytes / geo_.page_bytes,
+                    [this, &op] {
+                      ChannelOf(op).Release();
+                      if (telemetry::Tracer* tr = trace(); tr != nullptr) {
+                        tr->Span(op.t0, sim_.now(), /*cmd=*/0, Layer::kNand,
+                                 "die.read",
+                                 static_cast<std::int64_t>(op.addr.die),
+                                 static_cast<std::int64_t>(op.bytes));
+                      }
+                      counters_.page_reads++;
+                      counters_.bytes_read += op.bytes;
+                      if (op.retry_steps > 0) counters_.read_retries++;
+                      op.status = MediaStatus::kOk;
+                      op.done(op);
+                    });
+  });
+}
+
+void FlashArray::SubmitProgram(PageOp& op) {
+  BlockState& blk = Block(op.addr.die, op.addr.block);
+  ZSTOR_CHECK_MSG(op.addr.page == blk.write_ptr,
                   "non-sequential program within a block");
-  ZSTOR_CHECK(addr.page < geo_.pages_per_block);
+  ZSTOR_CHECK(op.addr.page < geo_.pages_per_block);
   blk.write_ptr++;
   if (blk.retired) {
     // The slot is still consumed (queued follow-on programs must keep the
     // sequential contract), but the die refuses the operation outright.
     counters_.program_failures++;
-    co_return MediaStatus::kProgramFail;
+    op.status = MediaStatus::kProgramFail;
+    op.done(op);
+    return;
   }
   fault::ProgramVerdict verdict;
   if (faults_ != nullptr) {
-    verdict = faults_->OnProgram(sim_.now(), addr.die, addr.block,
+    verdict = faults_->OnProgram(sim_.now(), op.addr.die, op.addr.block,
                                  blk.pe_cycles);
   }
+  op.fault = verdict.fail;
+  op.t0 = sim_.now();
+  ChannelOf(op).AcquireThen([this, &op] {
+    sim_.ScheduleIn(timing_.bus_xfer_page, [this, &op] {
+      ChannelOf(op).Release();
+      dies_[op.addr.die]->AcquireThen([this, &op] {
+        op.service = NoisyProgram();
+        sim_.ScheduleIn(op.service, [this, &op] { EndProgram(op); });
+      });
+    });
+  });
+}
+
+void FlashArray::EndProgram(PageOp& op) {
+  EndDieService(op, &DieStats::programs);
   telemetry::Tracer* tr = trace();
-  sim::Time t0 = sim_.now();
-  {
-    auto chan = co_await channels_[geo_.channel_of({addr.die})]->Acquire();
-    co_await sim_.Delay(timing_.bus_xfer_page);
-  }
-  {
-    auto die = co_await dies_[addr.die]->Acquire();
-    sim::Time svc_begin = sim_.now();
-    sim::Time t_prog = NoisyProgram();
-    co_await sim_.Delay(t_prog);
-    die_stats_[addr.die].programs++;
-    die_stats_[addr.die].busy_ns += t_prog;
-    NoteDieService(addr.die, svc_begin, sim_.now());
-  }
-  if (verdict.fail) {
+  if (op.fault) {
     // The program-verify pass failed after the full tPROG was spent.
     if (tr != nullptr) {
       tr->Instant(sim_.now(), /*cmd=*/0, Layer::kNand, "media.error",
-                  static_cast<std::int64_t>(addr.die),
-                  static_cast<std::int64_t>(addr.block));
+                  static_cast<std::int64_t>(op.addr.die),
+                  static_cast<std::int64_t>(op.addr.block));
     }
-    EmitMediaError(addr.die, addr.block);
+    EmitMediaError(op.addr.die, op.addr.block);
     counters_.page_programs++;
     counters_.program_failures++;
-    co_return MediaStatus::kProgramFail;
+    op.status = MediaStatus::kProgramFail;
+    op.done(op);
+    return;
   }
   if (tr != nullptr) {
-    tr->Span(t0, sim_.now(), /*cmd=*/0, Layer::kNand, "die.program",
-             static_cast<std::int64_t>(addr.die),
+    tr->Span(op.t0, sim_.now(), /*cmd=*/0, Layer::kNand, "die.program",
+             static_cast<std::int64_t>(op.addr.die),
              static_cast<std::int64_t>(geo_.page_bytes));
   }
   counters_.page_programs++;
   counters_.bytes_programmed += geo_.page_bytes;
-  co_return MediaStatus::kOk;
+  op.status = MediaStatus::kOk;
+  op.done(op);
 }
 
-sim::Task<bool> FlashArray::ProbePage(PageAddr addr) {
-  ZSTOR_CHECK(addr.page < geo_.pages_per_block);
-  sim::Time t0 = sim_.now();
-  {
-    auto die = co_await dies_[addr.die]->Acquire();
-    sim::Time svc_begin = sim_.now();
-    co_await sim_.Delay(timing_.read_page);
-    die_stats_[addr.die].reads++;
-    die_stats_[addr.die].busy_ns += timing_.read_page;
-    NoteDieService(addr.die, svc_begin, sim_.now());
-  }
+void FlashArray::SubmitProbe(PageOp& op) {
+  ZSTOR_CHECK(op.addr.page < geo_.pages_per_block);
+  op.t0 = sim_.now();
+  dies_[op.addr.die]->AcquireThen([this, &op] {
+    op.service = timing_.read_page;
+    sim_.ScheduleIn(op.service, [this, &op] { EndProbe(op); });
+  });
+}
+
+void FlashArray::EndProbe(PageOp& op) {
+  EndDieService(op, &DieStats::reads);
   if (telemetry::Tracer* tr = trace(); tr != nullptr) {
-    tr->Span(t0, sim_.now(), /*cmd=*/0, Layer::kNand, "die.probe",
-             static_cast<std::int64_t>(addr.die),
-             static_cast<std::int64_t>(addr.page));
+    tr->Span(op.t0, sim_.now(), /*cmd=*/0, Layer::kNand, "die.probe",
+             static_cast<std::int64_t>(op.addr.die),
+             static_cast<std::int64_t>(op.addr.page));
   }
   counters_.recovery_probes++;
-  co_return addr.page < Peek(addr.die, addr.block).write_ptr;
+  op.programmed = op.addr.page < Peek(op.addr.die, op.addr.block).write_ptr;
+  op.done(op);
+}
+
+void FlashArray::SubmitErase(PageOp& op) {
+  ZSTOR_CHECK_MSG(!Block(op.addr.die, op.addr.block).retired,
+                  "erase of a retired block");
+  op.t0 = sim_.now();
+  dies_[op.addr.die]->AcquireThen([this, &op] {
+    op.service = timing_.erase_block;
+    sim_.ScheduleIn(op.service, [this, &op] { EndErase(op); });
+  });
+}
+
+void FlashArray::EndErase(PageOp& op) {
+  EndDieService(op, &DieStats::erases);
+  if (telemetry::Tracer* tr = trace(); tr != nullptr) {
+    tr->Span(op.t0, sim_.now(), /*cmd=*/0, Layer::kNand, "die.erase",
+             static_cast<std::int64_t>(op.addr.die),
+             static_cast<std::int64_t>(op.addr.block));
+  }
+  BlockState& blk = Block(op.addr.die, op.addr.block);
+  blk.write_ptr = 0;
+  blk.pe_cycles++;
+  counters_.block_erases++;
+  op.status = MediaStatus::kOk;
+  op.done(op);
 }
 
 void FlashArray::CrashDiscardTail(std::uint32_t die, std::uint32_t block,
@@ -245,29 +298,6 @@ void FlashArray::CrashDiscardTail(std::uint32_t die, std::uint32_t block,
   BlockState& blk = Block(die, block);
   counters_.crash_discarded_pages += blk.write_ptr - new_write_ptr;
   blk.write_ptr = new_write_ptr;
-}
-
-sim::Task<> FlashArray::EraseBlock(std::uint32_t die, std::uint32_t block) {
-  BlockState& blk = Block(die, block);
-  ZSTOR_CHECK_MSG(!blk.retired, "erase of a retired block");
-  telemetry::Tracer* tr = trace();
-  sim::Time t0 = sim_.now();
-  {
-    auto g = co_await dies_[die]->Acquire();
-    sim::Time svc_begin = sim_.now();
-    co_await sim_.Delay(timing_.erase_block);
-    die_stats_[die].erases++;
-    die_stats_[die].busy_ns += timing_.erase_block;
-    NoteDieService(die, svc_begin, sim_.now());
-  }
-  if (tr != nullptr) {
-    tr->Span(t0, sim_.now(), /*cmd=*/0, Layer::kNand, "die.erase",
-             static_cast<std::int64_t>(die),
-             static_cast<std::int64_t>(block));
-  }
-  blk.write_ptr = 0;
-  blk.pe_cycles++;
-  counters_.block_erases++;
 }
 
 sim::Time FlashArray::NoisyRead() {

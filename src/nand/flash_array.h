@@ -5,6 +5,13 @@
 // read tails behind program queues, GC erase storms, parallel scaling across
 // dies — arise from these two resources plus the timings in geometry.h.
 //
+// Every cell operation is a PageOp record that the submitter owns. While
+// it waits for a die or a channel it is only that record in the
+// resource's FIFO (a FifoResource waiter that starts the next step once
+// the slot is granted); no coroutine frame is held for it. Coroutine
+// callers `co_await ReadPage/ProgramPage/EraseBlock/ProbePage`, thin
+// awaiters that keep the record in the caller's frame.
+//
 // The array also enforces the physical flash contract (a deliberately
 // checkable substrate for the FTL layers above):
 //   * pages within a block must be programmed strictly sequentially,
@@ -13,8 +20,10 @@
 #pragma once
 
 #include <array>
+#include <coroutine>
 #include <cstdint>
 #include <memory>
+#include <type_traits>
 #include <vector>
 
 #include "fault/fault_plan.h"
@@ -22,7 +31,6 @@
 #include "sim/resource.h"
 #include "sim/rng.h"
 #include "sim/simulator.h"
-#include "sim/task.h"
 #include "telemetry/telemetry.h"
 
 namespace zstor::nand {
@@ -53,6 +61,34 @@ struct FlashCounters {
   /// Exports every counter into the registry under the "nand." prefix
   /// (the shared Describe protocol; see telemetry/metrics.h).
   void Describe(telemetry::MetricsRegistry& m) const;
+};
+
+/// One cell operation as a record. The submitter fills the inputs and
+/// `done` and keeps the record alive at a fixed address until `done`
+/// runs (hence no copies). `done` is the operation's last act: the array
+/// never touches the record after calling it, so `done` may free or
+/// resubmit it. Records are reusable; every submission resets the
+/// array-private fields.
+struct PageOp {
+  using DoneFn = void (*)(PageOp&);
+
+  PageOp() = default;
+  PageOp(const PageOp&) = delete;
+  PageOp& operator=(const PageOp&) = delete;
+
+  PageAddr addr;            // erase: addr.page is unused
+  std::uint32_t bytes = 0;  // read: bytes transferred out (<= page size)
+  DoneFn done = nullptr;
+
+  // Results, valid when `done` runs.
+  MediaStatus status = MediaStatus::kOk;  // read, program
+  bool programmed = false;                // probe: the page holds data
+
+  // Array-private progress.
+  bool fault = false;  // read: uncorrectable; program: fails its verify
+  std::uint32_t retry_steps = 0;  // read-retry voltage steps
+  sim::Time t0 = 0;               // submission time (trace spans)
+  sim::Time service = 0;          // die-held time, drawn at the grant
 };
 
 /// Per-die service accounting, fed by the die-held portion of each cell
@@ -91,28 +127,91 @@ class FlashArray {
   /// timing is bit-identical to a build without fault support).
   void AttachFaultPlan(fault::FaultPlan* p) { faults_ = p; }
 
-  /// Reads `bytes` (<= page size) from a programmed page: occupies the die
-  /// for tR (plus any read-retry voltage steps under an attached fault
-  /// plan), then the channel for the data-out transfer. kReadError means
-  /// ECC gave up after the full retry budget; no data is transferred.
-  sim::Task<MediaStatus> ReadPage(PageAddr addr, std::uint32_t bytes);
-
-  /// Programs the next page of a block (addr.page must equal the block's
-  /// write pointer): channel data-in transfer, then die busy for tPROG.
+  /// Record submissions (see PageOp); each calls op.done once, at the
+  /// operation's end. A program to a retired block completes before
+  /// SubmitProgram returns; every other operation completes in a later
+  /// event.
+  ///
+  /// Read: `op.bytes` (<= page size) from a programmed page. Occupies the
+  /// die for tR (plus any read-retry voltage steps under an attached
+  /// fault plan), then the channel for the data-out transfer. kReadError
+  /// means ECC gave up after the full retry budget; no data is
+  /// transferred.
+  void SubmitRead(PageOp& op);
+  /// Program: the next page of a block (addr.page must equal the block's
+  /// write pointer). Channel data-in transfer, then die busy for tPROG.
   /// A failing program still consumes the page slot (the write pointer
   /// advances) so queued follow-on programs keep the sequential contract;
   /// programs to a retired block fail immediately without die time.
-  sim::Task<MediaStatus> ProgramPage(PageAddr addr);
-
-  /// Erases a block: die busy for tBERS; resets the block write pointer.
-  sim::Task<> EraseBlock(std::uint32_t die, std::uint32_t block);
-
+  void SubmitProgram(PageOp& op);
+  /// Erase of block (addr.die, addr.block): die busy for tBERS; resets
+  /// the block write pointer.
+  void SubmitErase(PageOp& op);
   /// Recovery probe: senses whether `addr` holds programmed data, costing
   /// a full tR of die time (no channel transfer — the controller only
-  /// inspects the ECC/meta region). Unlike ReadPage it is legal on
+  /// inspects the ECC/meta region). Unlike a read it is legal on
   /// unprogrammed pages; write-pointer rediscovery scans after a power
-  /// loss are built from these. Returns true if the page is programmed.
-  sim::Task<bool> ProbePage(PageAddr addr);
+  /// loss are built from these. Sets op.programmed.
+  void SubmitProbe(PageOp& op);
+
+  /// `co_await` adapter over one submission: the awaiting coroutine's
+  /// frame holds the record, and the completion resumes the coroutine
+  /// inline (as a finished sim::Task resumes its awaiter). Yields the
+  /// status (read, program), whether the page holds data (probe), or
+  /// nothing (erase).
+  template <typename T>
+  class [[nodiscard]] Awaiter : public PageOp {
+   public:
+    using Submit = void (FlashArray::*)(PageOp&);
+    Awaiter(FlashArray& array, Submit submit, PageAddr a,
+            std::uint32_t b = 0)
+        : array_(array), submit_(submit) {
+      addr = a;
+      bytes = b;
+      done = &Finish;
+    }
+
+    bool await_ready() const noexcept { return false; }
+    bool await_suspend(std::coroutine_handle<> h) {
+      (array_.*submit_)(*this);
+      if (finished_) return false;  // completed without waiting
+      waiter_ = h;
+      return true;
+    }
+    T await_resume() const noexcept {
+      if constexpr (std::is_same_v<T, bool>) {
+        return programmed;
+      } else if constexpr (!std::is_void_v<T>) {
+        return status;
+      }
+    }
+
+   private:
+    static void Finish(PageOp& op) {
+      auto& self = static_cast<Awaiter&>(op);
+      self.finished_ = true;
+      if (self.waiter_) self.waiter_.resume();
+    }
+
+    FlashArray& array_;
+    Submit submit_;
+    std::coroutine_handle<> waiter_;
+    bool finished_ = false;
+  };
+
+  Awaiter<MediaStatus> ReadPage(PageAddr addr, std::uint32_t bytes) {
+    return {*this, &FlashArray::SubmitRead, addr, bytes};
+  }
+  Awaiter<MediaStatus> ProgramPage(PageAddr addr) {
+    return {*this, &FlashArray::SubmitProgram, addr};
+  }
+  Awaiter<void> EraseBlock(std::uint32_t die, std::uint32_t block) {
+    return {*this, &FlashArray::SubmitErase, {die, block, 0}};
+  }
+  /// Returns true if the page is programmed.
+  Awaiter<bool> ProbePage(PageAddr addr) {
+    return {*this, &FlashArray::SubmitProbe, addr};
+  }
 
   /// Power-loss tail discard: drops pages [new_write_ptr, write_ptr) of a
   /// block — programs that were in flight (or torn) when power cut and
@@ -186,6 +285,17 @@ class FlashArray {
 
   sim::Time NoisyRead();
   sim::Time NoisyProgram();
+  sim::FifoResource& ChannelOf(const PageOp& op) {
+    return *channels_[geo_.channel_of({op.addr.die})];
+  }
+  // The steps of each operation after its die service (see the .cc).
+  void EndRead(PageOp& op);
+  void EndProgram(PageOp& op);
+  void EndErase(PageOp& op);
+  void EndProbe(PageOp& op);
+  /// Books the die-held interval [now - op.service, now] that just ended
+  /// (stats, die_busy window) and hands the die to its next waiter.
+  void EndDieService(const PageOp& op, std::uint64_t DieStats::*count);
   telemetry::Tracer* trace() const {
     return telem_ != nullptr ? &telem_->tracer() : nullptr;
   }

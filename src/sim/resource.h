@@ -1,7 +1,11 @@
 // Served resources: the building blocks for device-internal contention.
 //
 // FifoResource models a server pool (e.g. a NAND die, a DMA engine) with a
-// fixed number of slots and FIFO admission. PriorityResource adds strict
+// fixed number of slots and FIFO admission. Its waiters are EventFns: a
+// suspended coroutine's handle, or a deferred start that runs code for a
+// queued record only once the slot is granted (nand::FlashArray queues
+// its page operations this way, with no coroutine frame per waiting op).
+// PriorityResource adds strict
 // priority classes — the ZNS firmware command processor uses it so that
 // host I/O commands always bypass queued background (reset) work, which is
 // the mechanism behind the paper's Observations 12 and 13.
@@ -14,6 +18,7 @@
 #include <vector>
 
 #include "sim/check.h"
+#include "sim/event_fn.h"
 #include "sim/simulator.h"
 
 namespace zstor::sim {
@@ -55,23 +60,32 @@ class FifoResource {
 
   struct Awaiter {
     FifoResource& r;
-    bool await_ready() {
-      if (r.free_ == 0) return false;
-      --r.free_;
-      return true;
+    bool await_ready() { return r.TryAcquire(); }
+    void await_suspend(std::coroutine_handle<> h) {
+      r.waiters_.emplace_back(h);
     }
-    void await_suspend(std::coroutine_handle<> h) { r.waiters_.push_back(h); }
     Guard await_resume() { return Guard{&r}; }
   };
 
   /// Suspends until a slot is free; the returned guard holds the slot.
   Awaiter Acquire() { return Awaiter{*this}; }
 
+  /// Runs `then` holding a slot: right away when one is free, otherwise
+  /// as a fresh event once a slot is handed over (FIFO with the
+  /// coroutine waiters). `then` owns the slot and must Release() it.
+  void AcquireThen(EventFn then) {
+    if (TryAcquire()) {
+      then();
+    } else {
+      waiters_.push_back(std::move(then));
+    }
+  }
+
   void Release() {
     if (!waiters_.empty()) {
-      auto h = waiters_.front();
+      // The slot transfers to the waiter.
+      sim_.ScheduleIn(0, std::move(waiters_.front()));
       waiters_.pop_front();
-      sim_.ResumeSoon(h);  // slot transfers to the waiter
     } else {
       ++free_;
     }
@@ -81,9 +95,15 @@ class FifoResource {
   std::size_t queue_length() const { return waiters_.size(); }
 
  private:
+  bool TryAcquire() {
+    if (free_ == 0) return false;
+    --free_;
+    return true;
+  }
+
   Simulator& sim_;
   std::uint32_t free_;
-  std::deque<std::coroutine_handle<>> waiters_;
+  std::deque<EventFn> waiters_;
 };
 
 /// Multi-slot server with strict priority classes (0 = highest). Within a

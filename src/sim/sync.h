@@ -10,6 +10,8 @@
 // they keep them in a std::vector: an idle one allocates nothing (a
 // std::deque allocates its first node on construction). Semaphore and
 // Queue hand waiters out one at a time from the front and keep deques.
+// A Semaphore waiter is an EventFn, so besides a coroutine it can be a
+// deferred start of a queued record (AcquireThen).
 #pragma once
 
 #include <coroutine>
@@ -21,6 +23,7 @@
 #include <vector>
 
 #include "sim/check.h"
+#include "sim/event_fn.h"
 #include "sim/simulator.h"
 
 namespace zstor::sim {
@@ -35,13 +38,9 @@ class Semaphore {
 
   struct Awaiter {
     Semaphore& sem;
-    bool await_ready() {
-      if (sem.count_ == 0) return false;
-      --sem.count_;
-      return true;
-    }
+    bool await_ready() { return sem.TryAcquire(); }
     void await_suspend(std::coroutine_handle<> h) {
-      sem.waiters_.push_back(h);
+      sem.waiters_.emplace_back(h);
     }
     void await_resume() const noexcept {}
   };
@@ -49,12 +48,23 @@ class Semaphore {
   /// Suspends until one unit is available, then takes it.
   Awaiter Acquire() { return Awaiter{*this}; }
 
+  /// Runs `then` holding one unit: right away when one is available,
+  /// otherwise as a fresh event once a unit is handed over (FIFO with the
+  /// coroutine waiters). Lets a queued record wait without a frame.
+  void AcquireThen(EventFn then) {
+    if (TryAcquire()) {
+      then();
+    } else {
+      waiters_.push_back(std::move(then));
+    }
+  }
+
   /// Returns one unit, waking the longest-waiting acquirer if any.
   void Release() {
     if (!waiters_.empty()) {
-      auto h = waiters_.front();
+      // The released unit transfers to this waiter.
+      sim_.ScheduleIn(0, std::move(waiters_.front()));
       waiters_.pop_front();
-      sim_.ResumeSoon(h);  // the released unit transfers to this waiter
     } else {
       ++count_;
     }
@@ -64,9 +74,15 @@ class Semaphore {
   std::size_t waiting() const { return waiters_.size(); }
 
  private:
+  bool TryAcquire() {
+    if (count_ == 0) return false;
+    --count_;
+    return true;
+  }
+
   Simulator& sim_;
   std::uint64_t count_;
-  std::deque<std::coroutine_handle<>> waiters_;
+  std::deque<EventFn> waiters_;
 };
 
 /// Wait for a group of processes to finish: Add() before spawning each,

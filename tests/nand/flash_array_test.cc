@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
 #include <vector>
 
 #include "fault/fault_plan.h"
@@ -138,6 +139,92 @@ TEST(FlashArray, ReadQueuesBehindProgramOnBusyDie) {
   // The read arrived 1 ns into the second program's die time and had to
   // wait for it to finish: latency ≈ tPROG + tR.
   EXPECT_GT(read_latency, t.read_page + t.program_page / 2);
+}
+
+TEST(FlashArray, DieServesReadsAndErasesInArrivalOrderBetweenPrograms) {
+  // Die 0 is held by an erase while programs P1 and P2 queue on it, with
+  // a read (then an erase) arriving between them: the die serves them in
+  // arrival order, whatever their kind.
+  for (const bool mid_is_erase : {false, true}) {
+    sim::Simulator s;
+    Timing t;
+    FlashArray arr(s, SmallGeo(), t);
+    arr.DebugProgramRange(0, 1, 1);  // a readable page
+    std::vector<std::string> order;
+    std::vector<sim::Time> at;
+    auto note = [&](const char* name) {
+      order.push_back(name);
+      at.push_back(s.now());
+    };
+    auto hold = [&]() -> sim::Task<> {
+      co_await arr.EraseBlock(0, 3);
+      note("hold");
+    };
+    auto program = [&](std::uint32_t page, sim::Time arrive,
+                       const char* name) -> sim::Task<> {
+      co_await s.Delay(arrive);
+      co_await arr.ProgramPage({0, 0, page});
+      note(name);
+    };
+    auto mid = [&]() -> sim::Task<> {
+      // P1 joined the die queue after its bus transfer; P2 will join
+      // one bus transfer after it was submitted, 1 ns from now.
+      co_await s.Delay(t.bus_xfer_page + 1);
+      EXPECT_EQ(arr.DieQueueDepth(0), 2u);  // the erase and P1
+      if (mid_is_erase) {
+        co_await arr.EraseBlock(0, 2);
+      } else {
+        co_await arr.ReadPage({0, 1, 0}, 4096);
+      }
+      note("mid");
+    };
+    sim::Spawn(hold());
+    sim::Spawn(program(0, 0, "p1"));
+    sim::Spawn(mid());
+    sim::Spawn(program(1, t.bus_xfer_page + 2, "p2"));
+    s.Run();
+    ASSERT_EQ(order, (std::vector<std::string>{"hold", "p1", "mid", "p2"}))
+        << (mid_is_erase ? "erase" : "read");
+    const sim::Time mid_die = mid_is_erase ? t.erase_block : t.read_page;
+    const sim::Time mid_xfer = mid_is_erase ? 0 : t.bus_xfer_page / 4;
+    EXPECT_EQ(at[1], t.erase_block + t.program_page);
+    EXPECT_EQ(at[2], at[1] + mid_die + mid_xfer);
+    EXPECT_EQ(at[3], at[1] + mid_die + t.program_page);
+  }
+}
+
+TEST(FlashArray, RecordsQueueAndCompleteThroughTheirCallback) {
+  struct Op : PageOp {
+    std::vector<std::uint32_t>* log = nullptr;
+  };
+  sim::Simulator s;
+  Timing t;
+  FlashArray arr(s, SmallGeo(), t);
+  std::vector<std::uint32_t> log;
+  auto record = [](PageOp& op) {
+    auto& self = static_cast<Op&>(op);
+    self.log->push_back(self.addr.page);
+  };
+  std::vector<Op> ops(3);
+  for (std::uint32_t i = 0; i < ops.size(); ++i) {
+    ops[i].addr = {0, 0, i};
+    ops[i].done = record;
+    ops[i].log = &log;
+    arr.SubmitProgram(ops[i]);
+  }
+  s.Run();
+  EXPECT_EQ(log, (std::vector<std::uint32_t>{0, 1, 2}));
+  EXPECT_EQ(s.now(), t.bus_xfer_page + 3 * t.program_page);
+  for (const Op& op : ops) EXPECT_EQ(op.status, MediaStatus::kOk);
+
+  // A program to a retired block completes before SubmitProgram returns;
+  // the record is reused.
+  ASSERT_TRUE(arr.MarkBlockRetired(0, 1));
+  ops[0].addr = {0, 1, 0};
+  arr.SubmitProgram(ops[0]);
+  EXPECT_EQ(log.size(), 4u);
+  EXPECT_EQ(ops[0].status, MediaStatus::kProgramFail);
+  EXPECT_TRUE(s.idle());
 }
 
 TEST(FlashArray, EraseResetsWritePointerAndCountsPe) {

@@ -41,8 +41,10 @@ explicit --tol rules, which take precedence by order):
             crash recovery stays corruption-free, throughput and read
             tails stay within drift bounds.
     fig6    bench_fig6_gc_interference gates: every virtual-time series
-            (fig6*) matches the committed baseline to a relative 1e-6;
-            meta.* (wall time, host facts) stays ungated.
+            (fig6*) matches the committed baseline to a relative 1e-6,
+            and the process's peak resident memory (meta.peak_rss_mib)
+            rises at most 25% — a page queued at a NAND die must stay a
+            small record. meta.wall_ms stays ungated.
     multidev
             bench_multidev gates: every virtual-time series (multidev*)
             matches the committed baseline to a relative 1e-6, and the
@@ -88,9 +90,12 @@ PRESETS = {
     ),
     # Fig. 6 (Obs. 11): the simulator is deterministic, so every
     # virtual-time series must reproduce the baseline to rounding; a
-    # change that moves GC interference shows up here.
+    # change that moves GC interference shows up here. The footprint
+    # gate catches per-page state creeping back into the conventional
+    # FTL's write buffer and GC copies (~20k pages queue at its dies).
     "fig6": (
         "fig6*=1e-6:both",
+        "meta.peak_rss_mib=0.25:up",
     ),
     # Multi-device scale-out (DESIGN.md §12): deterministic in virtual
     # time like fig6, plus a memory-footprint gate — a 4-device run of the

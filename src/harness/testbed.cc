@@ -13,6 +13,11 @@ namespace zstor {
 
 namespace {
 
+/// The virtual-time host<->device interconnect hop charged to each
+/// cross-lane message under the parallel engine — also the engine's
+/// conservative-synchronization lookahead (DESIGN.md §12).
+constexpr sim::Time kInterconnectHop = 250;  // ns
+
 /// Field-wise sum of every device's command counters, for the aggregated
 /// snapshot of a striped testbed.
 zns::ZnsCounters SumCounters(const std::vector<zns::ZnsDevice*>& devs) {
@@ -393,14 +398,10 @@ nvme::SmartLog Testbed::Smart() const {
   for (std::size_t d = 1; d < zns_devs_.size(); ++d) {
     AccumulateSmart(agg, zns_devs_[d]->GetSmartLog());
   }
-  // ZNS write amplification is identically 1.0 per device, so the union
-  // keeps device 0's value; recompute anyway in case a future model
-  // diverges.
-  if (agg.bytes_written > 0 && agg.media_bytes_programmed > 0) {
-    agg.write_amplification =
-        static_cast<double>(agg.media_bytes_programmed) /
-        static_cast<double>(agg.bytes_written);
-  }
+  // ZNS write amplification is identically 1.0 per device (the host
+  // places data, the device never migrates it), so the union keeps
+  // device 0's value. media/host bytes is not it: bytes still in the
+  // write-back buffer make that ratio read below 1.
   return agg;
 }
 
@@ -572,19 +573,8 @@ TestbedBuilder& TestbedBuilder::WithStack(StackChoice s) {
   return *this;
 }
 
-TestbedBuilder& TestbedBuilder::WithStackOptions(
-    const hostif::StackOptions& opts) {
-  stack_opts_ = opts;
-  return *this;
-}
-
 TestbedBuilder& TestbedBuilder::WithLbaBytes(std::uint32_t lba_bytes) {
   lba_bytes_ = lba_bytes;
-  return *this;
-}
-
-TestbedBuilder& TestbedBuilder::WithQueueDepth(std::uint32_t qp_depth) {
-  stack_opts_.qp_depth = qp_depth;
   return *this;
 }
 
@@ -617,12 +607,6 @@ TestbedBuilder& TestbedBuilder::WithSimThreads(int n) {
   return *this;
 }
 
-TestbedBuilder& TestbedBuilder::WithLookahead(sim::Time hop) {
-  ZSTOR_CHECK_MSG(hop > 0, "interconnect lookahead must be positive");
-  lookahead_ = hop;
-  return *this;
-}
-
 Testbed TestbedBuilder::Build() {
   ZSTOR_CHECK_MSG(num_devices_ >= 1, "WithDevices needs n >= 1");
   ZSTOR_CHECK_MSG(num_devices_ == 1 || !conv_profile_.has_value(),
@@ -637,7 +621,7 @@ Testbed TestbedBuilder::Build() {
   Testbed tb;
   if (parallel) {
     tb.psim_ = std::make_unique<sim::ParallelSimulator>(num_devices_ + 1,
-                                                        lookahead_);
+                                                        kInterconnectHop);
     // Only the coordinator originates work between messages (workload
     // workers, rate limiters, retry timers); device lanes react.
     tb.psim_->SetSpontaneous(0, true);
@@ -700,7 +684,7 @@ Testbed TestbedBuilder::Build() {
     proxies.reserve(num_devices_);
     for (std::uint32_t d = 0; d < num_devices_; ++d) {
       tb.lane_stacks_.push_back(
-          hostif::MakeStack(stack_, dev_sim(d), *tb.zns_devs_[d], stack_opts_)
+          hostif::MakeStack(stack_, dev_sim(d), *tb.zns_devs_[d])
               .stack);
       proxies.push_back(std::make_unique<hostif::MailboxStack>(
           *tb.psim_, /*host_lane=*/0, /*dev_lane=*/1 + d,
@@ -720,7 +704,7 @@ Testbed TestbedBuilder::Build() {
     lanes.reserve(tb.zns_devs_.size());
     for (auto& dev : tb.zns_devs_) {
       lanes.push_back(
-          hostif::MakeStack(stack_, *tb.sim_, *dev, stack_opts_).stack);
+          hostif::MakeStack(stack_, *tb.sim_, *dev).stack);
     }
     auto striped =
         std::make_unique<hostif::StripedStack>(*tb.sim_, std::move(lanes));
@@ -728,7 +712,7 @@ Testbed TestbedBuilder::Build() {
     tb.stack_ = std::move(striped);
   } else {
     hostif::MadeStack made =
-        hostif::MakeStack(stack_, *tb.sim_, tb.controller(), stack_opts_);
+        hostif::MakeStack(stack_, *tb.sim_, tb.controller());
     tb.kernel_ = made.kernel;
     tb.stack_ = std::move(made.stack);
   }

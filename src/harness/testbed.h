@@ -274,14 +274,8 @@ class TestbedBuilder {
   /// with WithConvProfile.
   TestbedBuilder& WithDevices(std::uint32_t n);
   TestbedBuilder& WithStack(StackChoice s);
-  /// Host-stack construction options (per-device queue depth, host costs,
-  /// scheduler tuning). Applied to every lane in a multi-device testbed.
-  TestbedBuilder& WithStackOptions(const hostif::StackOptions& opts);
   /// Namespace LBA format (ZNS only; the conventional model is 4 KiB).
   TestbedBuilder& WithLbaBytes(std::uint32_t lba_bytes);
-  /// Queue-pair depth (device-visible in-flight bound, per device);
-  /// shorthand for the StackOptions field.
-  TestbedBuilder& WithQueueDepth(std::uint32_t qp_depth);
   /// Explicitly enables telemetry with this config (otherwise Build()
   /// consults the BenchEnv --trace/--metrics flags).
   TestbedBuilder& WithTelemetry(TelemetryConfig cfg);
@@ -302,10 +296,6 @@ class TestbedBuilder {
   /// effective on multi-device ZNS testbeds; single-device and
   /// conventional testbeds always use the classic engine.
   TestbedBuilder& WithSimThreads(int n);
-  /// The virtual-time host<->device interconnect hop charged to each
-  /// cross-lane message under the parallel engine — also the engine's
-  /// conservative-synchronization lookahead. Default 250 ns.
-  TestbedBuilder& WithLookahead(sim::Time hop);
 
   Testbed Build();
 
@@ -314,13 +304,11 @@ class TestbedBuilder {
   std::optional<ftl::ConvProfile> conv_profile_;
   std::uint32_t num_devices_ = 1;
   StackChoice stack_ = StackChoice::kSpdk;
-  hostif::StackOptions stack_opts_;
   std::uint32_t lba_bytes_ = 4096;
   std::optional<TelemetryConfig> telem_cfg_;
   std::optional<fault::FaultSpec> fault_spec_;
   std::optional<hostif::RetryPolicy> retry_policy_;
   std::optional<int> sim_threads_;
-  sim::Time lookahead_ = 250;  // ns
   std::string label_;
 };
 

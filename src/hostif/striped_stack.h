@@ -35,6 +35,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <utility>
 #include <vector>
 
@@ -80,6 +81,56 @@ struct StripeStats {
 };
 
 namespace detail {
+
+// Routing one command onto a stripe lane, shared by StripedStack and
+// StripeLaneView: plain functions around the lane's Submit, so routing
+// adds no coroutine frame per command.
+
+/// A command whose tail would land in the next logical zone — on a
+/// different device — is rejected before any lane sees it: returns its
+/// host-side kZoneBoundaryError completion, or nullopt to route it.
+inline std::optional<nvme::TimedCompletion> BoundaryReject(
+    const StripeMap& map, const nvme::Command& cmd, sim::Time now) {
+  const nvme::Lba offset =
+      cmd.slba - map.ZoneStartLba(map.LogicalZoneOf(cmd.slba));
+  if (offset + cmd.nlb <= map.zone_size_lbas) return std::nullopt;
+  nvme::TimedCompletion tc;
+  tc.completion.status = nvme::Status::kZoneBoundaryError;
+  tc.trace_id = cmd.trace_id;
+  tc.submitted = now;
+  tc.completed = now;
+  return tc;
+}
+
+/// Before Submit: traces stripe.route, counts the command as issued and
+/// returns the device-addressed command.
+inline nvme::Command RouteToLane(const StripeMap& map, std::uint32_t dev,
+                                 const nvme::Command& cmd, sim::Time now,
+                                 telemetry::Tracer* tr, LaneStats& ls) {
+  if (tr != nullptr) {
+    tr->Instant(now, cmd.trace_id, telemetry::Layer::kHost, "stripe.route",
+                static_cast<std::int64_t>(dev),
+                static_cast<std::int64_t>(map.LogicalZoneOf(cmd.slba)));
+  }
+  nvme::Command routed = cmd;
+  routed.slba = map.ToDeviceLba(cmd.slba);
+  ls.issued++;
+  ls.in_flight++;
+  ls.max_in_flight = std::max(ls.max_in_flight, ls.in_flight);
+  return routed;
+}
+
+/// After Submit: counts the completion and maps an append's LBA back.
+inline void RouteDone(const StripeMap& map, std::uint32_t dev,
+                      nvme::Opcode op, LaneStats& ls,
+                      nvme::TimedCompletion& tc) {
+  ls.in_flight--;
+  ls.completed++;
+  if (!tc.completion.ok()) ls.errors++;
+  if (op == nvme::Opcode::kAppend && tc.completion.ok()) {
+    tc.completion.result_lba = map.ToLogicalLba(dev, tc.completion.result_lba);
+  }
+}
 
 /// One lane's leg of a broadcast. A free coroutine (not a lambda) so the
 /// frame owns its parameters; `out` and `wg` live in the caller's frame,
@@ -159,40 +210,17 @@ class StripedStack : public Stack {
  private:
   sim::Task<nvme::TimedCompletion> RouteOne(nvme::Command cmd,
                                             telemetry::Tracer* tr) {
-    const std::uint32_t lz = map_.LogicalZoneOf(cmd.slba);
-    const nvme::Lba offset = cmd.slba - map_.ZoneStartLba(lz);
-    nvme::TimedCompletion tc;
-    if (offset + cmd.nlb > info_.zone_size_lbas) {
-      // In a single-device namespace this I/O would reach the controller
-      // and fail there; striped, the tail would land on a different
-      // device, so reject before any lane sees it.
+    // In a single-device namespace a zone-crossing I/O would reach the
+    // controller and fail there; striped, it is rejected host-side.
+    if (auto reject = detail::BoundaryReject(map_, cmd, sim_.now())) {
       stats_.boundary_rejects++;
-      tc.completion.status = nvme::Status::kZoneBoundaryError;
-      tc.trace_id = cmd.trace_id;
-      tc.submitted = sim_.now();
-      tc.completed = sim_.now();
-      co_return tc;
+      co_return *reject;
     }
-    const std::uint32_t d = map_.DeviceOf(lz);
-    if (tr != nullptr) {
-      tr->Instant(sim_.now(), cmd.trace_id, telemetry::Layer::kHost,
-                  "stripe.route", static_cast<std::int64_t>(d),
-                  static_cast<std::int64_t>(lz));
-    }
-    nvme::Command routed = cmd;
-    routed.slba = map_.ToDeviceLba(cmd.slba);
+    const std::uint32_t d = map_.DeviceOf(map_.LogicalZoneOf(cmd.slba));
     LaneStats& ls = stats_.lanes[d];
-    ls.issued++;
-    ls.in_flight++;
-    ls.max_in_flight = std::max(ls.max_in_flight, ls.in_flight);
-    tc = co_await lanes_[d]->Submit(routed);
-    ls.in_flight--;
-    ls.completed++;
-    if (!tc.completion.ok()) ls.errors++;
-    if (cmd.opcode == nvme::Opcode::kAppend && tc.completion.ok()) {
-      tc.completion.result_lba =
-          map_.ToLogicalLba(d, tc.completion.result_lba);
-    }
+    nvme::TimedCompletion tc = co_await lanes_[d]->Submit(
+        detail::RouteToLane(map_, d, cmd, sim_.now(), tr, ls));
+    detail::RouteDone(map_, d, cmd.opcode, ls, tc);
     co_return tc;
   }
 

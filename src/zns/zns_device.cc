@@ -298,6 +298,28 @@ nand::PageAddr ZnsDevice::AddrOfZonePage(std::uint32_t zone,
       .page = static_cast<std::uint32_t>(on_die % g.pages_per_block)};
 }
 
+template <typename Fn>
+void ZnsDevice::ForEachZoneBlock(std::uint32_t zone, std::uint64_t pages,
+                                 Fn&& fn) const {
+  // The block-level view of AddrOfZonePage: die d holds every dies-th
+  // page from page d on, filling its zone blocks in order.
+  const nand::Geometry& g = profile_.nand_geometry;
+  const std::uint32_t dies = g.total_dies();
+  const std::uint32_t bpz = profile_.blocks_per_zone_per_die();
+  for (std::uint32_t die = 0; die < dies; ++die) {
+    const std::uint64_t on_die = pages / dies + (die < pages % dies ? 1 : 0);
+    for (std::uint32_t b = 0; b < bpz; ++b) {
+      const std::uint64_t block_lo =
+          static_cast<std::uint64_t>(b) * g.pages_per_block;
+      const std::uint32_t in_block = static_cast<std::uint32_t>(
+          on_die > block_lo
+              ? std::min<std::uint64_t>(on_die - block_lo, g.pages_per_block)
+              : 0);
+      fn(die, zone * bpz + b, in_block);
+    }
+  }
+}
+
 bool ZnsDevice::DeviceIsIoQuiet() const {
   if (io_inflight_ != 0 || fcp_.total_queued() != 0 ||
       fcp_.free_slots() == 0) {
@@ -345,51 +367,53 @@ void ZnsDevice::SetZoneState(std::uint32_t zone, ZoneState next) {
   ZSTOR_CHECK(open_count_ <= active_count_);
 }
 
-bool ZnsDevice::TakeOpenSlotWithEviction() {
-  if (open_count_ < profile_.max_open_zones) return true;
-  // At the open limit: the controller may close an implicitly-opened zone
-  // to make room (NVMe ZNS 2.1.3); explicitly-opened zones are pinned.
-  std::uint32_t victim = profile_.num_zones;
-  std::uint64_t oldest = ~0ull;
-  for (std::uint32_t i = 0; i < profile_.num_zones; ++i) {
-    const Zone& z = zones_[i];
-    if (z.state == ZoneState::kImplicitlyOpened &&
-        z.opened_at_seq < oldest) {
-      oldest = z.opened_at_seq;
-      victim = i;
-    }
+Status ZnsDevice::OpenZone(std::uint32_t zone, ZoneState next) {
+  Zone& z = zones_[zone];
+  if (z.state == ZoneState::kEmpty &&
+      active_count_ >= profile_.max_active_zones) {
+    return Status::kTooManyActiveZones;
   }
-  if (victim == profile_.num_zones) return false;
-  ZSTOR_CHECK(zones_[victim].wp_bytes > 0);  // implicit open implies I/O
-  SetZoneState(victim, ZoneState::kClosed);
-  counters_.implicit_open_evictions++;
-  return true;
+  if (open_count_ >= profile_.max_open_zones) {
+    // At the open limit: the controller may close an implicitly-opened
+    // zone to make room (NVMe ZNS 2.1.3); explicitly-opened zones are
+    // pinned.
+    std::uint32_t victim = profile_.num_zones;
+    std::uint64_t oldest = ~0ull;
+    for (std::uint32_t i = 0; i < profile_.num_zones; ++i) {
+      const Zone& v = zones_[i];
+      if (v.state == ZoneState::kImplicitlyOpened &&
+          v.opened_at_seq < oldest) {
+        oldest = v.opened_at_seq;
+        victim = i;
+      }
+    }
+    if (victim == profile_.num_zones) return Status::kTooManyOpenZones;
+    ZSTOR_CHECK(zones_[victim].wp_bytes > 0);  // implicit open implies I/O
+    SetZoneState(victim, ZoneState::kClosed);
+    counters_.implicit_open_evictions++;
+  }
+  SetZoneState(zone, next);
+  z.opened_at_seq = ++open_seq_;
+  if (next == ZoneState::kExplicitlyOpened) {
+    counters_.explicit_opens++;
+  } else {
+    counters_.implicit_opens++;
+  }
+  return Status::kSuccess;
 }
 
 Status ZnsDevice::EnsureOpenForIo(std::uint32_t zone, bool& first_io) {
-  Zone& z = zones_[zone];
   first_io = false;
-  switch (z.state) {
+  switch (zones_[zone].state) {
     case ZoneState::kImplicitlyOpened:
     case ZoneState::kExplicitlyOpened:
       return Status::kSuccess;
     case ZoneState::kEmpty:
-      if (active_count_ >= profile_.max_active_zones) {
-        return Status::kTooManyActiveZones;
-      }
-      if (!TakeOpenSlotWithEviction()) return Status::kTooManyOpenZones;
-      SetZoneState(zone, ZoneState::kImplicitlyOpened);
-      z.opened_at_seq = ++open_seq_;
-      counters_.implicit_opens++;
-      first_io = true;
-      return Status::kSuccess;
-    case ZoneState::kClosed:
-      if (!TakeOpenSlotWithEviction()) return Status::kTooManyOpenZones;
-      SetZoneState(zone, ZoneState::kImplicitlyOpened);
-      z.opened_at_seq = ++open_seq_;
-      counters_.implicit_opens++;
-      first_io = true;
-      return Status::kSuccess;
+    case ZoneState::kClosed: {
+      const Status st = OpenZone(zone, ZoneState::kImplicitlyOpened);
+      first_io = st == Status::kSuccess;
+      return st;
+    }
     case ZoneState::kFull:
       return Status::kZoneIsFull;
     case ZoneState::kReadOnly:
@@ -437,6 +461,22 @@ sim::Task<> ZnsDevice::ProgramZonePage(std::uint32_t zone,
   z.inflight_programs--;
   program_wg_[zone]->Done();
   all_programs_.Done();
+}
+
+void ZnsDevice::MarkProgrammed(std::uint32_t zone, std::uint64_t bytes) {
+  const std::uint64_t pb = profile_.nand_geometry.page_bytes;
+  zones_[zone].programmed_bytes = bytes;
+  next_program_page_[zone] = bytes / pb;
+  settled_prefix_pages_[zone] = bytes / pb;
+  settled_oo_pages_[zone].clear();
+  if (!flash_) return;
+  // A range ending mid-page marks that page too: reads go to NAND up to
+  // programmed_bytes.
+  ForEachZoneBlock(zone, (bytes + pb - 1) / pb,
+                   [&](std::uint32_t die, std::uint32_t block,
+                       std::uint32_t n) {
+                     flash_->DebugProgramRange(die, block, n);
+                   });
 }
 
 void ZnsDevice::NoteProgramSettled(std::uint32_t zone,
@@ -527,7 +567,7 @@ sim::Task<> ZnsDevice::ReadOneZonePage(std::uint32_t zone,
 // --------------------------------------------------------------- command
 
 nvme::Status ZnsDevice::ValidateIoRange(const Command& cmd,
-                                        bool is_write) const {
+                                        bool within_cap) const {
   if (cmd.nlb == 0) return Status::kInvalidField;
   if (cmd.slba >= info_.capacity_lbas ||
       cmd.slba + cmd.nlb > info_.capacity_lbas) {
@@ -536,7 +576,7 @@ nvme::Status ZnsDevice::ValidateIoRange(const Command& cmd,
   if (ZoneOfLba(cmd.slba) != ZoneOfLba(cmd.slba + cmd.nlb - 1)) {
     return Status::kZoneBoundaryError;
   }
-  if (is_write) {
+  if (within_cap) {
     std::uint64_t off = ZoneDataOffsetBytes(cmd.slba);
     std::uint64_t bytes = static_cast<std::uint64_t>(cmd.nlb) * lba_bytes_;
     if (off + bytes > profile_.zone_cap_bytes) {
@@ -561,10 +601,8 @@ sim::Task<Completion> ZnsDevice::Execute(const Command& cmd) {
       c = co_await DoRead(cmd);
       break;
     case Opcode::kWrite:
-      c = co_await DoWrite(cmd);
-      break;
     case Opcode::kAppend:
-      c = co_await DoAppend(cmd);
+      c = co_await DoZoneWrite(cmd);
       break;
     case Opcode::kZoneMgmtSend:
       c = co_await DoZoneMgmt(cmd);
@@ -592,7 +630,7 @@ sim::Task<Completion> ZnsDevice::Execute(const Command& cmd) {
 }
 
 sim::Task<Completion> ZnsDevice::DoRead(Command cmd) {
-  if (Status st = ValidateIoRange(cmd, /*is_write=*/false);
+  if (Status st = ValidateIoRange(cmd, /*within_cap=*/false);
       st != Status::kSuccess) {
     co_return Completion{.status = st};
   }
@@ -693,10 +731,16 @@ sim::Task<Completion> ZnsDevice::DoRead(Command cmd) {
   co_return c;
 }
 
-sim::Task<Completion> ZnsDevice::DoWrite(Command cmd) {
-  if (Status st = ValidateIoRange(cmd, /*is_write=*/true);
+sim::Task<Completion> ZnsDevice::DoZoneWrite(Command cmd) {
+  // Zone Append is a write whose LBA the device assigns: it names only
+  // the zone (its ZSLBA), lands at the write pointer and reports where.
+  const bool append = cmd.opcode == Opcode::kAppend;
+  if (Status st = ValidateIoRange(cmd, /*within_cap=*/!append);
       st != Status::kSuccess) {
     co_return Completion{.status = st};
+  }
+  if (append && cmd.slba != ZoneStartLba(ZoneOfLba(cmd.slba))) {
+    co_return Completion{.status = Status::kInvalidField};  // needs ZSLBA
   }
   const std::uint64_t bytes =
       static_cast<std::uint64_t>(cmd.nlb) * lba_bytes_;
@@ -705,7 +749,7 @@ sim::Task<Completion> ZnsDevice::DoWrite(Command cmd) {
   const std::uint64_t epoch0 = power_epoch_;
   telemetry::Tracer* tr = trace();
   bool first_io = false;
-  std::uint64_t end_off;
+  std::uint64_t off = 0;  // where the data lands: the wp at admission
   sim::Time t0 = sim_.now();
   {
     auto g = co_await fcp_.Acquire(kPrioIo);
@@ -715,7 +759,7 @@ sim::Task<Completion> ZnsDevice::DoWrite(Command cmd) {
                static_cast<std::int64_t>(zone));
     }
     co_await sim_.Delay(
-        Noise(FcpIoCost(Opcode::kWrite, bytes, cmd.nlb, cmd.slba)));
+        Noise(FcpIoCost(cmd.opcode, bytes, cmd.nlb, cmd.slba)));
     if (tr != nullptr) {
       tr->Span(t1, sim_.now(), cmd.trace_id, Layer::kFcp, "fcp.service",
                static_cast<std::int64_t>(zone),
@@ -733,27 +777,38 @@ sim::Task<Completion> ZnsDevice::DoWrite(Command cmd) {
       z.write_fault_pending = false;
       co_return Completion{.status = Status::kWriteFault};
     }
-    if (ZoneDataOffsetBytes(cmd.slba) != z.wp_bytes &&
-        z.state != ZoneState::kFull) {
-      co_return Completion{.status = Status::kZoneInvalidWrite};
+    // Position rule (a Full zone falls through to kZoneIsFull below): a
+    // write must start at the write pointer, an append must fit in the
+    // capacity left.
+    if (z.state != ZoneState::kFull &&
+        (append ? z.wp_bytes + bytes > profile_.zone_cap_bytes
+                : ZoneDataOffsetBytes(cmd.slba) != z.wp_bytes)) {
+      co_return Completion{.status = append ? Status::kZoneBoundaryError
+                                            : Status::kZoneInvalidWrite};
     }
     if (Status st = EnsureOpenForIo(zone, first_io);
         st != Status::kSuccess) {
       co_return Completion{.status = st};
     }
-    std::uint64_t off = z.wp_bytes;
+    off = z.wp_bytes;
     z.wp_bytes += bytes;
-    end_off = z.wp_bytes;
     if (cmd.payload_tag != 0) StoreTags(zone, off, cmd.nlb, cmd.payload_tag);
     if (z.wp_bytes == profile_.zone_cap_bytes) {
       TransitionToFullLocked(zone, /*via_finish=*/false);
     }
   }
   sim::Time post_begin = sim_.now();
-  Time post = profile_.post.write_fixed +
-              static_cast<Time>(profile_.post.dma_ns_per_byte *
+  const PostCosts& pc = profile_.post;
+  Time post = pc.write_fixed +
+              static_cast<Time>(pc.dma_ns_per_byte *
                                 static_cast<double>(bytes));
-  if (first_io) post += profile_.open_close.implicit_first_write_extra;
+  if (append && bytes < pc.substripe_threshold_bytes) {
+    post += pc.append_substripe_extra;
+  }
+  if (first_io) {
+    post += append ? profile_.open_close.implicit_first_append_extra
+                   : profile_.open_close.implicit_first_write_extra;
+  }
   co_await sim_.Delay(Noise(post));
   sim::Time admit_begin = sim_.now();
   if (tr != nullptr) {
@@ -766,9 +821,10 @@ sim::Task<Completion> ZnsDevice::DoWrite(Command cmd) {
     co_return Completion{.status = Status::kDeviceReset};
   }
   if (flash_) {
-    co_await AdmitPrograms(zone, end_off, epoch0);
+    co_await AdmitPrograms(zone, off + bytes, epoch0);
   } else {
-    zones_[zone].programmed_bytes = end_off;
+    zones_[zone].programmed_bytes =
+        std::max(zones_[zone].programmed_bytes, off + bytes);
   }
   if (tr != nullptr) {
     // Non-zero only when the write-back buffer is full and admission has
@@ -779,104 +835,11 @@ sim::Task<Completion> ZnsDevice::DoWrite(Command cmd) {
   if (power_epoch_ != epoch0) {
     co_return Completion{.status = Status::kDeviceReset};
   }
-  counters_.writes++;
+  (append ? counters_.appends : counters_.writes)++;
   counters_.bytes_written += bytes;
-  co_return Completion{.status = Status::kSuccess};
-}
-
-sim::Task<Completion> ZnsDevice::DoAppend(Command cmd) {
-  if (Status st = ValidateIoRange(cmd, /*is_write=*/false);
-      st != Status::kSuccess) {
-    co_return Completion{.status = st};
-  }
-  if (cmd.slba != ZoneStartLba(ZoneOfLba(cmd.slba))) {
-    co_return Completion{.status = Status::kInvalidField};  // needs ZSLBA
-  }
-  const std::uint64_t bytes =
-      static_cast<std::uint64_t>(cmd.nlb) * lba_bytes_;
-  const std::uint32_t zone = ZoneOfLba(cmd.slba);
-  InflightGuard io_guard(*this);
-  const std::uint64_t epoch0 = power_epoch_;
-  telemetry::Tracer* tr = trace();
-  bool first_io = false;
-  std::uint64_t assigned_off;
-  std::uint64_t end_off;
-  sim::Time t0 = sim_.now();
-  {
-    auto g = co_await fcp_.Acquire(kPrioIo);
-    sim::Time t1 = sim_.now();
-    if (tr != nullptr) {
-      tr->Span(t0, t1, cmd.trace_id, Layer::kFcp, "fcp.wait",
-               static_cast<std::int64_t>(zone));
-    }
-    co_await sim_.Delay(
-        Noise(FcpIoCost(Opcode::kAppend, bytes, cmd.nlb, cmd.slba)));
-    if (tr != nullptr) {
-      tr->Span(t1, sim_.now(), cmd.trace_id, Layer::kFcp, "fcp.service",
-               static_cast<std::int64_t>(zone),
-               static_cast<std::int64_t>(bytes));
-    }
-    if (power_epoch_ != epoch0) {
-      co_return Completion{.status = Status::kDeviceReset};
-    }
-    Zone& z = zones_[zone];
-    if (z.write_fault_pending) {
-      z.write_fault_pending = false;
-      co_return Completion{.status = Status::kWriteFault};
-    }
-    if (z.wp_bytes + bytes > profile_.zone_cap_bytes &&
-        z.state != ZoneState::kFull) {
-      co_return Completion{.status = Status::kZoneBoundaryError};
-    }
-    if (Status st = EnsureOpenForIo(zone, first_io);
-        st != Status::kSuccess) {
-      co_return Completion{.status = st};
-    }
-    assigned_off = z.wp_bytes;
-    z.wp_bytes += bytes;
-    end_off = z.wp_bytes;
-    if (cmd.payload_tag != 0) {
-      StoreTags(zone, assigned_off, cmd.nlb, cmd.payload_tag);
-    }
-    if (z.wp_bytes == profile_.zone_cap_bytes) {
-      TransitionToFullLocked(zone, /*via_finish=*/false);
-    }
-  }
-  sim::Time post_begin = sim_.now();
-  Time post = profile_.post.write_fixed +
-              static_cast<Time>(profile_.post.dma_ns_per_byte *
-                                static_cast<double>(bytes));
-  if (bytes < profile_.post.substripe_threshold_bytes) {
-    post += profile_.post.append_substripe_extra;
-  }
-  if (first_io) post += profile_.open_close.implicit_first_append_extra;
-  co_await sim_.Delay(Noise(post));
-  sim::Time admit_begin = sim_.now();
-  if (tr != nullptr) {
-    tr->Span(post_begin, admit_begin, cmd.trace_id, Layer::kPost, "post",
-             static_cast<std::int64_t>(bytes), first_io ? 1 : 0);
-  }
-  if (power_epoch_ != epoch0) {
-    co_return Completion{.status = Status::kDeviceReset};
-  }
-  if (flash_) {
-    co_await AdmitPrograms(zone, end_off, epoch0);
-  } else {
-    zones_[zone].programmed_bytes =
-        std::max(zones_[zone].programmed_bytes, end_off);
-  }
-  if (tr != nullptr) {
-    tr->Span(admit_begin, sim_.now(), cmd.trace_id, Layer::kBuffer,
-             "buffer.admit", static_cast<std::int64_t>(zone));
-  }
-  if (power_epoch_ != epoch0) {
-    co_return Completion{.status = Status::kDeviceReset};
-  }
-  counters_.appends++;
-  counters_.bytes_written += bytes;
-  co_return Completion{
-      .status = Status::kSuccess,
-      .result_lba = ZoneStartLba(zone) + assigned_off / lba_bytes_};
+  Completion c{.status = Status::kSuccess};
+  if (append) c.result_lba = ZoneStartLba(zone) + off / lba_bytes_;
+  co_return c;
 }
 
 sim::Task<Completion> ZnsDevice::DoZoneMgmt(Command cmd) {
@@ -891,8 +854,10 @@ sim::Task<Completion> ZnsDevice::DoZoneMgmt(Command cmd) {
   }
   const std::uint32_t zone = ZoneOfLba(cmd.slba);
   switch (cmd.zone_action) {
-    case ZoneAction::kOpen: co_return co_await DoOpen(zone, cmd.trace_id);
-    case ZoneAction::kClose: co_return co_await DoClose(zone, cmd.trace_id);
+    case ZoneAction::kOpen:
+    case ZoneAction::kClose:
+      co_return co_await DoOpenClose(zone, cmd.trace_id,
+                                     cmd.zone_action == ZoneAction::kOpen);
     case ZoneAction::kFinish: co_return co_await DoFinish(zone, cmd.trace_id);
     case ZoneAction::kReset: co_return co_await DoReset(zone, cmd.trace_id);
     case ZoneAction::kNone: break;
@@ -900,69 +865,43 @@ sim::Task<Completion> ZnsDevice::DoZoneMgmt(Command cmd) {
   co_return Completion{.status = Status::kInvalidField};
 }
 
-sim::Task<Completion> ZnsDevice::DoOpen(std::uint32_t zone,
-                                        std::uint64_t tid) {
+sim::Task<Completion> ZnsDevice::DoOpenClose(std::uint32_t zone,
+                                             std::uint64_t tid, bool open) {
   const std::uint64_t epoch0 = power_epoch_;
   sim::Time t0 = sim_.now();
   auto g = co_await fcp_.Acquire(kPrioIo);
   sim::Time t1 = sim_.now();
-  co_await sim_.Delay(Noise(profile_.open_close.explicit_open));
+  co_await sim_.Delay(Noise(open ? profile_.open_close.explicit_open
+                                 : profile_.open_close.close));
   if (power_epoch_ != epoch0) {
     co_return Completion{.status = Status::kDeviceReset};
   }
   if (telemetry::Tracer* tr = trace(); tr != nullptr) {
     tr->Span(t0, t1, tid, Layer::kFcp, "fcp.wait",
              static_cast<std::int64_t>(zone));
-    tr->Span(t1, sim_.now(), tid, Layer::kZone, "zone.open",
+    tr->Span(t1, sim_.now(), tid, Layer::kZone,
+             open ? "zone.open" : "zone.close",
              static_cast<std::int64_t>(zone));
   }
   Zone& z = zones_[zone];
-  switch (z.state) {
-    case ZoneState::kExplicitlyOpened:
-      co_return Completion{.status = Status::kSuccess};  // no-op
-    case ZoneState::kImplicitlyOpened:
-      SetZoneState(zone, ZoneState::kExplicitlyOpened);
-      counters_.explicit_opens++;
-      co_return Completion{.status = Status::kSuccess};
-    case ZoneState::kEmpty:
-      if (active_count_ >= profile_.max_active_zones) {
-        co_return Completion{.status = Status::kTooManyActiveZones};
-      }
-      [[fallthrough]];
-    case ZoneState::kClosed:
-      if (!TakeOpenSlotWithEviction()) {
-        co_return Completion{.status = Status::kTooManyOpenZones};
-      }
-      SetZoneState(zone, ZoneState::kExplicitlyOpened);
-      z.opened_at_seq = ++open_seq_;
-      counters_.explicit_opens++;
-      co_return Completion{.status = Status::kSuccess};
-    case ZoneState::kFull:
-      co_return Completion{.status = Status::kZoneIsFull};
-    case ZoneState::kReadOnly:
-    case ZoneState::kOffline:
-      co_return Completion{.status = Status::kZoneInvalidStateTransition};
+  if (open) {
+    switch (z.state) {
+      case ZoneState::kExplicitlyOpened:
+        co_return Completion{.status = Status::kSuccess};  // no-op
+      case ZoneState::kImplicitlyOpened:
+        SetZoneState(zone, ZoneState::kExplicitlyOpened);
+        counters_.explicit_opens++;
+        co_return Completion{.status = Status::kSuccess};
+      case ZoneState::kEmpty:
+      case ZoneState::kClosed:
+        co_return Completion{
+            .status = OpenZone(zone, ZoneState::kExplicitlyOpened)};
+      case ZoneState::kFull:
+        co_return Completion{.status = Status::kZoneIsFull};
+      default:
+        co_return Completion{.status = Status::kZoneInvalidStateTransition};
+    }
   }
-  co_return Completion{.status = Status::kInvalidField};
-}
-
-sim::Task<Completion> ZnsDevice::DoClose(std::uint32_t zone,
-                                         std::uint64_t tid) {
-  const std::uint64_t epoch0 = power_epoch_;
-  sim::Time t0 = sim_.now();
-  auto g = co_await fcp_.Acquire(kPrioIo);
-  sim::Time t1 = sim_.now();
-  co_await sim_.Delay(Noise(profile_.open_close.close));
-  if (power_epoch_ != epoch0) {
-    co_return Completion{.status = Status::kDeviceReset};
-  }
-  if (telemetry::Tracer* tr = trace(); tr != nullptr) {
-    tr->Span(t0, t1, tid, Layer::kFcp, "fcp.wait",
-             static_cast<std::int64_t>(zone));
-    tr->Span(t1, sim_.now(), tid, Layer::kZone, "zone.close",
-             static_cast<std::int64_t>(zone));
-  }
-  Zone& z = zones_[zone];
   switch (z.state) {
     case ZoneState::kClosed:
       co_return Completion{.status = Status::kSuccess};  // no-op
@@ -977,6 +916,24 @@ sim::Task<Completion> ZnsDevice::DoClose(std::uint32_t zone,
     default:
       co_return Completion{.status = Status::kZoneInvalidStateTransition};
   }
+}
+
+Status ZnsDevice::QuiesceDone(std::uint32_t zone, std::uint64_t tid,
+                              sim::Time quiesce_begin, std::uint64_t epoch0) {
+  if (telemetry::Tracer* tr = trace(); tr != nullptr) {
+    tr->Span(quiesce_begin, sim_.now(), tid, Layer::kZone, "zone.quiesce",
+             static_cast<std::int64_t>(zone));
+  }
+  if (power_epoch_ != epoch0) return Status::kDeviceReset;
+  Zone& z = zones_[zone];
+  if (z.state == ZoneState::kReadOnly || z.state == ZoneState::kOffline) {
+    // An in-flight program failed while the command quiesced: the zone
+    // degraded under it. Report the buffered-data loss; a degraded zone
+    // takes no pad programs and is not resettable.
+    z.write_fault_pending = false;
+    return Status::kWriteFault;
+  }
+  return Status::kSuccess;
 }
 
 sim::Task<Completion> ZnsDevice::DoFinish(std::uint32_t zone,
@@ -1004,28 +961,16 @@ sim::Task<Completion> ZnsDevice::DoFinish(std::uint32_t zone,
       case ZoneState::kReadOnly:
       case ZoneState::kOffline:
         co_return Completion{.status = Status::kZoneInvalidStateTransition};
-      case ZoneState::kImplicitlyOpened:
-      case ZoneState::kExplicitlyOpened:
-      case ZoneState::kClosed:
+      default:  // open or closed: finishable
         break;
     }
   }
   // Quiesce in-flight NAND programs, then pad the remaining capacity.
-  sim::Time quiesce_begin = sim_.now();
+  const sim::Time quiesce_begin = sim_.now();
   co_await program_wg_[zone]->Wait();
-  if (tr != nullptr) {
-    tr->Span(quiesce_begin, sim_.now(), tid, Layer::kZone, "zone.quiesce",
-             static_cast<std::int64_t>(zone));
-  }
-  if (power_epoch_ != epoch0) {
-    co_return Completion{.status = Status::kDeviceReset};
-  }
-  if (z.state == ZoneState::kReadOnly || z.state == ZoneState::kOffline) {
-    // An in-flight program failed while finish quiesced: the zone
-    // degraded under us — report the buffered-data loss instead of
-    // padding a zone that no longer accepts programs.
-    z.write_fault_pending = false;
-    co_return Completion{.status = Status::kWriteFault};
+  if (Status st = QuiesceDone(zone, tid, quiesce_begin, epoch0);
+      st != Status::kSuccess) {
+    co_return Completion{.status = st};
   }
   std::uint64_t remaining = profile_.zone_cap_bytes - z.wp_bytes;
   if (!profile_.finish.zero_cost) {
@@ -1050,28 +995,9 @@ sim::Task<Completion> ZnsDevice::DoFinish(std::uint32_t zone,
       co_return Completion{.status = Status::kDeviceReset};
     }
   }
-  if (flash_) {
-    // Mark the padded region programmed (the pad time above charged the
-    // aggregate NAND cost; see DESIGN.md §6).
-    const nand::Geometry& geo = profile_.nand_geometry;
-    std::uint64_t total_pages = profile_.zone_cap_pages();
-    std::uint32_t dies = geo.total_dies();
-    for (std::uint32_t die = 0; die < dies; ++die) {
-      std::uint64_t on_die_pages = total_pages / dies +
-                                   (die < total_pages % dies ? 1 : 0);
-      std::uint32_t bpz = profile_.blocks_per_zone_per_die();
-      for (std::uint32_t b = 0; b < bpz && on_die_pages > 0; ++b) {
-        std::uint32_t in_block = static_cast<std::uint32_t>(std::min<std::uint64_t>(
-            on_die_pages, geo.pages_per_block));
-        flash_->DebugProgramRange(die, zone * bpz + b, in_block);
-        on_die_pages -= in_block;
-      }
-    }
-    next_program_page_[zone] = total_pages;
-    settled_prefix_pages_[zone] = total_pages;
-    settled_oo_pages_[zone].clear();
-  }
-  z.programmed_bytes = profile_.zone_cap_bytes;
+  // Mark the padded region programmed (the pad time above charged the
+  // aggregate NAND cost; see DESIGN.md §6).
+  MarkProgrammed(zone, profile_.zone_cap_bytes);
   TransitionToFullLocked(zone, /*via_finish=*/true);
   counters_.finishes++;
   co_return Completion{.status = Status::kSuccess};
@@ -1086,79 +1012,64 @@ sim::Task<Completion> ZnsDevice::DoReset(std::uint32_t zone,
     co_return Completion{.status = Status::kZoneInvalidStateTransition};
   }
   // Quiesce in-flight NAND programs for this zone first.
-  sim::Time quiesce_begin = sim_.now();
+  const sim::Time quiesce_begin = sim_.now();
   co_await program_wg_[zone]->Wait();
-  if (tr != nullptr) {
-    tr->Span(quiesce_begin, sim_.now(), tid, Layer::kZone, "zone.quiesce",
-             static_cast<std::int64_t>(zone));
-  }
-  if (power_epoch_ != epoch0) {
-    co_return Completion{.status = Status::kDeviceReset};
-  }
-  if (z.state == ZoneState::kReadOnly || z.state == ZoneState::kOffline) {
-    // The zone degraded while the reset quiesced (an in-flight program
-    // failed): degraded zones are not resettable.
-    z.write_fault_pending = false;
-    co_return Completion{.status = Status::kWriteFault};
+  if (Status st = QuiesceDone(zone, tid, quiesce_begin, epoch0);
+      st != Status::kSuccess) {
+    co_return Completion{.status = st};
   }
   // The unmap work runs on the FCP at background priority, in slices so
   // small that host I/O never noticeably waits behind one (Obs. 12),
   // while concurrent I/O — which the FCP serves first — stretches the
   // reset's elapsed time by ~1/(1-rho) (Obs. 13). With no I/O in flight
   // at all, the remaining work is charged in one step (isolated resets,
-  // e.g. the Fig. 5 sweep, stay cheap to simulate).
+  // e.g. the Fig. 5 sweep, stay cheap to simulate). The emulator-style
+  // static model (NVMeVirt) always charges in one step, even a zero
+  // cost: a flat charge with no contention — precisely what makes such
+  // models miss Obs. 13.
+  const bool static_cost = profile_.reset.static_cost;
+  const Time slice = std::max<Time>(profile_.reset.slice, 1);
   Time work = ResetCost(z, rng_);
-  if (profile_.reset.static_cost) {
-    // Emulator-style static model (NVMeVirt): a flat charge with no
-    // contention — precisely what makes such models miss Obs. 13.
-    sim::Time b = sim_.now();
-    co_await sim_.Delay(work);
-    if (tr != nullptr) {
-      tr->Span(b, sim_.now(), tid, Layer::kZone, "reset.bulk",
-               static_cast<std::int64_t>(zone));
-    }
-  } else {
-    const Time slice = std::max<Time>(profile_.reset.slice, 1);
-    while (work > 0) {
-      if (DeviceIsIoQuiet()) {
-        sim::Time b = sim_.now();
-        co_await sim_.Delay(work);
-        if (tr != nullptr) {
-          tr->Span(b, sim_.now(), tid, Layer::kZone, "reset.bulk",
-                   static_cast<std::int64_t>(zone));
-        }
-        break;
+  while (static_cost || work > 0) {
+    if (static_cost || DeviceIsIoQuiet()) {
+      sim::Time b = sim_.now();
+      co_await sim_.Delay(work);
+      if (tr != nullptr) {
+        tr->Span(b, sim_.now(), tid, Layer::kZone, "reset.bulk",
+                 static_cast<std::int64_t>(zone));
       }
-      Time this_slice = std::min(work, slice);
-      {
-        sim::Time b = sim_.now();
-        auto g = co_await fcp_.Acquire(kPrioBackground);
-        co_await sim_.Delay(this_slice);
-        if (tr != nullptr) {
-          // Includes the background-priority FCP wait: the stretch that
-          // concurrent I/O imposes on the reset (Obs. 13).
-          tr->Span(b, sim_.now(), tid, Layer::kZone, "reset.slice",
-                   static_cast<std::int64_t>(zone),
-                   static_cast<std::int64_t>(this_slice));
-        }
-      }
-      work -= this_slice;
+      break;
     }
+    Time this_slice = std::min(work, slice);
+    {
+      sim::Time b = sim_.now();
+      auto g = co_await fcp_.Acquire(kPrioBackground);
+      co_await sim_.Delay(this_slice);
+      if (tr != nullptr) {
+        // Includes the background-priority FCP wait: the stretch that
+        // concurrent I/O imposes on the reset (Obs. 13).
+        tr->Span(b, sim_.now(), tid, Layer::kZone, "reset.slice",
+                 static_cast<std::int64_t>(zone),
+                 static_cast<std::int64_t>(this_slice));
+      }
+    }
+    work -= this_slice;
   }
   if (power_epoch_ != epoch0) {
     // Power cut mid-unmap: the metadata wipe never committed — the crash
     // rollback left the zone's pre-reset state in place.
     co_return Completion{.status = Status::kDeviceReset};
   }
-  // Metadata wiped; physical erases happen off the critical path.
+  // Metadata wiped; physical erases happen off the critical path. A
+  // zone with a block at its endurance limit is worn out.
+  bool worn = false;
   if (flash_) {
-    std::uint32_t bpz = profile_.blocks_per_zone_per_die();
-    for (std::uint32_t die = 0; die < profile_.nand_geometry.total_dies();
-         ++die) {
-      for (std::uint32_t b = 0; b < bpz; ++b) {
-        flash_->DeferredEraseBlock(die, zone * bpz + b);
-      }
-    }
+    const std::uint32_t limit = profile_.pe_cycle_limit;
+    ForEachZoneBlock(zone, 0, [&](std::uint32_t die, std::uint32_t block,
+                                  std::uint32_t) {
+      flash_->DeferredEraseBlock(die, block);
+      worn = worn || (limit != 0 && flash_->BlockPeCycles(die, block) >= limit);
+    });
   }
   z.wp_bytes = 0;
   z.programmed_bytes = 0;
@@ -1168,7 +1079,7 @@ sim::Task<Completion> ZnsDevice::DoReset(std::uint32_t zone,
   settled_prefix_pages_[zone] = 0;
   settled_oo_pages_[zone].clear();
   zone_tags_[zone].clear();
-  if (ZoneWornOut(zone)) {
+  if (worn) {
     // Endurance exhausted: the zone leaves service instead of returning
     // to Empty (flash P/E limits, §II-A).
     SetZoneState(zone, ZoneState::kOffline);
@@ -1185,21 +1096,6 @@ sim::Task<Completion> ZnsDevice::DoReset(std::uint32_t zone,
                static_cast<std::int64_t>(zone));
   }
   co_return Completion{.status = Status::kSuccess};
-}
-
-bool ZnsDevice::ZoneWornOut(std::uint32_t zone) const {
-  if (profile_.pe_cycle_limit == 0 || !flash_) return false;
-  std::uint32_t bpz = profile_.blocks_per_zone_per_die();
-  for (std::uint32_t die = 0; die < profile_.nand_geometry.total_dies();
-       ++die) {
-    for (std::uint32_t b = 0; b < bpz; ++b) {
-      if (flash_->BlockPeCycles(die, zone * bpz + b) >=
-          profile_.pe_cycle_limit) {
-        return true;
-      }
-    }
-  }
-  return false;
 }
 
 sim::Task<Completion> ZnsDevice::DoResetAll(std::uint64_t tid) {
@@ -1338,24 +1234,11 @@ std::uint64_t ZnsDevice::CrashRollbackZone(std::uint32_t zone) {
   settled_oo_pages_[zone].clear();
   const std::uint64_t durable = prefix * pb;
   const std::uint64_t lost = z.wp_bytes > durable ? z.wp_bytes - durable : 0;
-  // Discard the NAND tail of every zone block down to the durable prefix
-  // (prefix pages stripe round-robin across the dies).
-  const nand::Geometry& geo = profile_.nand_geometry;
-  const std::uint32_t dies = geo.total_dies();
-  const std::uint32_t bpz = profile_.blocks_per_zone_per_die();
-  for (std::uint32_t die = 0; die < dies; ++die) {
-    std::uint64_t on_die = prefix / dies + (die < prefix % dies ? 1 : 0);
-    for (std::uint32_t b = 0; b < bpz; ++b) {
-      const std::uint64_t block_lo =
-          static_cast<std::uint64_t>(b) * geo.pages_per_block;
-      const std::uint32_t keep = static_cast<std::uint32_t>(
-          on_die > block_lo
-              ? std::min<std::uint64_t>(on_die - block_lo,
-                                        geo.pages_per_block)
-              : 0);
-      flash_->CrashDiscardTail(die, zone * bpz + b, keep);
-    }
-  }
+  // Discard the NAND tail of every zone block down to the durable prefix.
+  ForEachZoneBlock(zone, prefix, [&](std::uint32_t die, std::uint32_t block,
+                                     std::uint32_t keep) {
+    flash_->CrashDiscardTail(die, block, keep);
+  });
   z.wp_bytes = durable;
   z.programmed_bytes = durable;
   next_program_page_[zone] = prefix;
@@ -1370,17 +1253,14 @@ std::uint64_t ZnsDevice::CrashRollbackZone(std::uint32_t zone) {
   // the open/active sets were volatile controller state. Degraded zones
   // keep their sticky state.
   if (z.state != ZoneState::kReadOnly) {
-    if (z.wp_bytes == 0) {
+    const bool full = z.wp_bytes == profile_.zone_cap_bytes;
+    if (!full) {
       z.finished = false;
       z.data_bytes_at_finish = 0;
-      SetZoneState(zone, ZoneState::kEmpty);
-    } else if (z.wp_bytes == profile_.zone_cap_bytes) {
-      SetZoneState(zone, ZoneState::kFull);
-    } else {
-      z.finished = false;
-      z.data_bytes_at_finish = 0;
-      SetZoneState(zone, ZoneState::kClosed);
     }
+    SetZoneState(zone, full              ? ZoneState::kFull
+                       : z.wp_bytes == 0 ? ZoneState::kEmpty
+                                         : ZoneState::kClosed);
   }
   return lost;
 }
@@ -1482,26 +1362,7 @@ void ZnsDevice::DebugFillZone(std::uint32_t zone, std::uint64_t bytes) {
   ZSTOR_CHECK(bytes % lba_bytes_ == 0);
   if (bytes == 0) return;
   z.wp_bytes = bytes;
-  z.programmed_bytes = bytes;
-  const std::uint64_t pb = profile_.nand_geometry.page_bytes;
-  std::uint64_t pages = (bytes + pb - 1) / pb;
-  next_program_page_[zone] = bytes / pb;
-  settled_prefix_pages_[zone] = bytes / pb;
-  if (flash_) {
-    const nand::Geometry& geo = profile_.nand_geometry;
-    std::uint32_t dies = geo.total_dies();
-    std::uint32_t bpz = profile_.blocks_per_zone_per_die();
-    for (std::uint32_t die = 0; die < dies; ++die) {
-      std::uint64_t on_die_pages =
-          pages / dies + (die < pages % dies ? 1 : 0);
-      for (std::uint32_t b = 0; b < bpz && on_die_pages > 0; ++b) {
-        std::uint32_t in_block = static_cast<std::uint32_t>(std::min<std::uint64_t>(
-            on_die_pages, geo.pages_per_block));
-        flash_->DebugProgramRange(die, zone * bpz + b, in_block);
-        on_die_pages -= in_block;
-      }
-    }
-  }
+  MarkProgrammed(zone, bytes);
   if (bytes == profile_.zone_cap_bytes) {
     SetZoneState(zone, ZoneState::kFull);
   } else {
@@ -1517,6 +1378,40 @@ void ZnsDevice::DebugSetZoneState(std::uint32_t zone, ZoneState state) {
                       state == ZoneState::kOffline,
                   "DebugSetZoneState only forces degraded states");
   SetZoneState(zone, state);
+}
+
+void ZnsDevice::AuditZones() const {
+  const std::uint64_t pb = profile_.nand_geometry.page_bytes;
+  std::uint32_t open = 0;
+  std::uint32_t active = 0;
+  for (std::uint32_t zone = 0; zone < zones_.size(); ++zone) {
+    const Zone& z = zones_[zone];
+    ZSTOR_CHECK_MSG(z.inflight_programs == 0,
+                    "AuditZones needs a quiesced device");
+    ZSTOR_CHECK_MSG(z.programmed_bytes <= z.wp_bytes,
+                    "programmed bytes past the write pointer");
+    ZSTOR_CHECK_MSG(settled_prefix_pages_[zone] <= next_program_page_[zone],
+                    "settled prefix past the page cursor");
+    if (IsOpen(z.state)) ++open;
+    if (IsActive(z.state)) ++active;
+    if (!flash_) continue;
+    ZSTOR_CHECK_MSG(z.programmed_bytes / pb == next_program_page_[zone],
+                    "page cursor disagrees with the programmed bytes");
+    ForEachZoneBlock(zone, (z.programmed_bytes + pb - 1) / pb,
+                     [&](std::uint32_t die, std::uint32_t block,
+                         std::uint32_t n) {
+                       if (flash_->BlockRetired(die, block)) return;
+                       ZSTOR_CHECK_MSG(
+                           flash_->BlockWritePointer(die, block) == n,
+                           "NAND block disagrees with the zone layout");
+                     });
+  }
+  ZSTOR_CHECK_MSG(open == open_count_, "open zone count drifted");
+  ZSTOR_CHECK_MSG(active == active_count_, "active zone count drifted");
+  ZSTOR_CHECK_MSG(buffer_slots_.available() ==
+                      std::max<std::uint64_t>(
+                          1, profile_.write_buffer_bytes / pb),
+                  "write-back buffer slot leaked");
 }
 
 }  // namespace zstor::zns

@@ -164,6 +164,14 @@ class ZnsDevice : public nvme::Controller {
   /// normal transition rules.
   void DebugSetZoneState(std::uint32_t zone, ZoneState state);
 
+  /// CHECKs the zone invariants on a quiesced device (test tool; no
+  /// virtual time): programmed_bytes <= wp_bytes, settled prefix <= page
+  /// cursor == programmed pages, every in-service NAND block holds the
+  /// pages the layout puts there (ForEachZoneBlock), the open/active
+  /// counts match a recount of the zone states, and every write-back
+  /// buffer slot is free.
+  void AuditZones() const;
+
  private:
   static constexpr std::uint32_t kPrioIo = 0;
   static constexpr std::uint32_t kPrioBackground = 1;
@@ -171,22 +179,30 @@ class ZnsDevice : public nvme::Controller {
   // Command handlers. `tid` is the command's telemetry trace id (0 when
   // tracing is off or the caller didn't thread one through).
   sim::Task<nvme::Completion> DoRead(nvme::Command cmd);
-  sim::Task<nvme::Completion> DoWrite(nvme::Command cmd);
-  sim::Task<nvme::Completion> DoAppend(nvme::Command cmd);
+  /// Write and Zone Append, one path: an append is a write whose LBA the
+  /// device assigns, so every difference is a `cmd.opcode` test.
+  sim::Task<nvme::Completion> DoZoneWrite(nvme::Command cmd);
   sim::Task<nvme::Completion> DoZoneMgmt(nvme::Command cmd);
-  sim::Task<nvme::Completion> DoOpen(std::uint32_t zone, std::uint64_t tid);
-  sim::Task<nvme::Completion> DoClose(std::uint32_t zone, std::uint64_t tid);
+  /// Explicit Open (`open`) or Close of one zone.
+  sim::Task<nvme::Completion> DoOpenClose(std::uint32_t zone,
+                                          std::uint64_t tid, bool open);
   sim::Task<nvme::Completion> DoFinish(std::uint32_t zone, std::uint64_t tid);
   sim::Task<nvme::Completion> DoReset(std::uint32_t zone, std::uint64_t tid);
   sim::Task<nvme::Completion> DoResetAll(std::uint64_t tid);
   sim::Task<nvme::Completion> DoReportZones(nvme::Command cmd);
   sim::Task<nvme::Completion> DoFlush(std::uint64_t tid);
-  /// True when any of the zone's NAND blocks has exhausted its endurance.
-  bool ZoneWornOut(std::uint32_t zone) const;
+
+  /// Ends finish's and reset's wait for the zone's in-flight programs:
+  /// records it, fails the command on power loss or zone degradation.
+  nvme::Status QuiesceDone(std::uint32_t zone, std::uint64_t tid,
+                           sim::Time quiesce_begin, std::uint64_t epoch0);
 
   // State-machine helpers (called while holding the FCP).
   nvme::Status EnsureOpenForIo(std::uint32_t zone, bool& first_io);
-  bool TakeOpenSlotWithEviction();
+  /// Opens an Empty or Closed zone into `next`: checks the active limit,
+  /// takes an open slot (evicting the LRU implicitly-opened zone at the
+  /// limit), stamps opened_at_seq and counts the open.
+  nvme::Status OpenZone(std::uint32_t zone, ZoneState next);
   void SetZoneState(std::uint32_t zone, ZoneState next);
   void TransitionToFullLocked(std::uint32_t zone, bool via_finish);
 
@@ -201,6 +217,12 @@ class ZnsDevice : public nvme::Controller {
   // resources but must not touch zone state — the crash rolled it back.
   nand::PageAddr AddrOfZonePage(std::uint32_t zone,
                                 std::uint64_t page_idx) const;
+  /// The one zone layout walk: calls fn(die, block, n) for every NAND
+  /// block the zone owns, die-major, with n = how many of the zone's
+  /// first `pages` pages AddrOfZonePage puts in that block.
+  template <typename Fn>
+  void ForEachZoneBlock(std::uint32_t zone, std::uint64_t pages,
+                        Fn&& fn) const;
   sim::Task<> ProgramZonePage(std::uint32_t zone, std::uint64_t page_idx,
                               std::uint64_t epoch);
   /// `failed` (nullable) is set to the page's MediaStatus when not kOk —
@@ -226,6 +248,9 @@ class ZnsDevice : public nvme::Controller {
   /// tracking: extends the contiguous prefix or records an out-of-order
   /// page that a crash would tear.
   void NoteProgramSettled(std::uint32_t zone, std::uint64_t page_idx);
+  /// Marks the zone's first `bytes` programmed — NAND blocks, page cursor,
+  /// durable prefix — without simulated I/O (finish pad, fill).
+  void MarkProgrammed(std::uint32_t zone, std::uint64_t bytes);
   /// Applies power-loss semantics to one zone: rolls wp/programmed bytes
   /// back to the durable prefix, discards the NAND tail, truncates payload
   /// tags, and recomputes the zone state from the recovered wp. Returns
@@ -246,7 +271,8 @@ class ZnsDevice : public nvme::Controller {
                 std::uint32_t nlb, std::vector<std::uint64_t>& out) const;
 
   // Validation.
-  nvme::Status ValidateIoRange(const nvme::Command& cmd, bool is_write) const;
+  /// `within_cap`: the range must also end inside the zone capacity.
+  nvme::Status ValidateIoRange(const nvme::Command& cmd, bool within_cap) const;
   std::uint64_t ZoneDataOffsetBytes(nvme::Lba lba) const;
 
   sim::Simulator& sim_;

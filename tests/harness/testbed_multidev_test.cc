@@ -7,6 +7,7 @@
 
 #include "harness/testbed.h"
 #include "nvme/log_page.h"
+#include "sim/task.h"
 #include "zns/zns_device.h"
 
 namespace zstor {
@@ -88,6 +89,38 @@ TEST(TestbedMultiDev, SmartSumsCountersAcrossDevices) {
   EXPECT_EQ(smart.device, "zns");
   EXPECT_EQ(smart.host_writes, appends);
   EXPECT_EQ(smart.bytes_written, bytes);
+}
+
+TEST(TestbedMultiDev, SmartWriteAmplificationIsTheDevicesValue) {
+  // Five 4 KiB appends per zone fill one 16 KiB page and leave a quarter
+  // page in the write-back buffer, so media bytes trail host bytes. The
+  // device still reports 1.0 (it never migrates data); so must the union.
+  for (std::uint32_t ndev : {1u, 2u}) {
+    Testbed tb = MakeBed(ndev);
+    const nvme::Lba zone_lbas = tb.stack().info().zone_size_lbas;
+    auto body = [&]() -> sim::Task<> {
+      for (std::uint32_t lz = 0; lz < ndev; ++lz) {
+        for (int i = 0; i < 5; ++i) {
+          nvme::TimedCompletion tc = co_await tb.stack().Submit(
+              {.opcode = nvme::Opcode::kAppend,
+               .slba = lz * zone_lbas,
+               .nlb = 1});
+          EXPECT_TRUE(tc.completion.ok());
+        }
+      }
+    };
+    auto t = body();
+    tb.sim().Run();
+    const nvme::SmartLog smart = tb.Smart();
+    ASSERT_GT(smart.media_bytes_programmed, 0u) << "ndev=" << ndev;
+    ASSERT_LT(smart.media_bytes_programmed, smart.bytes_written)
+        << "ndev=" << ndev;
+    for (std::size_t d = 0; d < ndev; ++d) {
+      EXPECT_DOUBLE_EQ(smart.write_amplification,
+                tb.zns(d)->GetSmartLog().write_amplification)
+          << "ndev=" << ndev << " d=" << d;
+    }
+  }
 }
 
 TEST(TestbedMultiDev, ZoneReportIsInLogicalOrderWithSummedBudgets) {

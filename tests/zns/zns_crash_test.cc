@@ -62,8 +62,10 @@ TEST(ZnsCrash, IdleDeviceRecoversCleanly) {
   for (std::uint32_t z = 0; z < h.dev.info().num_zones; ++z) {
     EXPECT_EQ(h.dev.GetZoneState(z), ZoneState::kEmpty);
   }
+  h.dev.AuditZones();
   // The recovered device accepts I/O again.
   EXPECT_TRUE(h.Append(0, LbasPerPage(h)).ok());
+  h.dev.AuditZones();
 }
 
 TEST(ZnsCrash, FlushedDataSurvivesByteExact) {
@@ -80,6 +82,7 @@ TEST(ZnsCrash, FlushedDataSurvivesByteExact) {
   // pointer holds.
   EXPECT_EQ(h.dev.counters().crash_lost_bytes, 0u);
   EXPECT_EQ(h.dev.ZoneWritePointerLba(0), h.dev.ZoneStartLba(0) + nlb);
+  h.dev.AuditZones();
   nvme::Completion rd = h.Run(TaggedRead(h, 0, 0, nlb));
   ASSERT_TRUE(rd.ok());
   ASSERT_EQ(rd.payload_tags.size(), nlb);
@@ -115,6 +118,8 @@ TEST(ZnsCrash, UnflushedTailIsDroppedAtPageGranularity) {
   EXPECT_EQ(c.crash_lost_bytes, (nlb - wp_lbas) * 4096u);
   EXPECT_GT(c.crash_lost_bytes, 0u);
   EXPECT_EQ(h.dev.ZoneWrittenBytes(0), wp_lbas * 4096u);
+  // The NAND tail was trimmed to the recovered prefix.
+  h.dev.AuditZones();
   // Recovery rediscovered the write pointer by scanning the zone.
   EXPECT_GE(c.recovery_zone_scans, 1u);
   EXPECT_GE(h.dev.flash()->counters().recovery_probes, 1u);
@@ -147,9 +152,11 @@ TEST(ZnsCrash, PostRecoveryAppendsLandAtTheRecoveredWp) {
   h.sim.Run();
 
   const nvme::Lba recovered_wp = h.dev.ZoneWritePointerLba(0);
+  h.dev.AuditZones();
   nvme::Completion ap = h.Run(TaggedAppend(h, 0, upp, 0x9000));
   ASSERT_TRUE(ap.ok());
   EXPECT_EQ(ap.result_lba, recovered_wp);
+  h.dev.AuditZones();
   nvme::Completion rd = h.Run(TaggedRead(
       h, 0, recovered_wp - h.dev.ZoneStartLba(0), upp));
   ASSERT_TRUE(rd.ok());
@@ -184,6 +191,7 @@ TEST(ZnsCrash, InFlightAndOutageCommandsFailWithDeviceReset) {
   EXPECT_EQ(during_outage.status, Status::kDeviceReset);
   EXPECT_TRUE(after.ok());
   EXPECT_GE(h.dev.counters().reset_drops, 2u);
+  h.dev.AuditZones();
 }
 
 TEST(ZnsCrash, ScheduledCrashFiresFromTheFaultPlan) {
@@ -203,6 +211,7 @@ TEST(ZnsCrash, ScheduledCrashFiresFromTheFaultPlan) {
   EXPECT_EQ(h.dev.counters().crashes, 1u);
   EXPECT_EQ(h.dev.counters().recoveries, 1u);
   EXPECT_EQ(h.dev.power_epoch(), 1u);
+  h.dev.AuditZones();
 }
 
 TEST(ZnsCrash, CrashRecoveryIsDeterministic) {
@@ -220,6 +229,7 @@ TEST(ZnsCrash, CrashRecoveryIsDeterministic) {
     };
     auto t = body();
     h.sim.Run();
+    h.dev.AuditZones();
     *out = h.dev.counters();
     *wp = h.dev.ZoneWritePointerLba(0);
   };

@@ -90,6 +90,7 @@ TEST(ResetAll, ResetsEveryNonEmptyZone) {
   }
   EXPECT_EQ(h.dev.active_zone_count(), 0u);
   EXPECT_EQ(h.dev.counters().resets, 3u);  // only the non-empty zones
+  h.dev.AuditZones();
 }
 
 TEST(ResetAll, SelectAllWithOtherActionsIsInvalid) {
@@ -135,6 +136,7 @@ TEST(Wear, ZoneGoesOfflineAtPeCycleLimit) {
   ASSERT_TRUE(h.Reset(0).ok());
   EXPECT_EQ(h.dev.GetZoneState(0), ZoneState::kOffline);
   EXPECT_EQ(h.dev.counters().zones_worn_offline, 1u);
+  h.dev.AuditZones();
   // Offline zones reject everything.
   EXPECT_EQ(h.Write(0, 0, 1).status, Status::kZoneIsOffline);
   EXPECT_EQ(h.Reset(0).status, Status::kZoneInvalidStateTransition);

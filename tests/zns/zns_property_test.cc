@@ -228,6 +228,7 @@ TEST_P(ZnsPropertyTest, DeviceAgreesWithReferenceModelUnderRandomOps) {
       ASSERT_EQ(h.dev.GetZoneState(i), ref.zone(i).state) << "zone " << i;
       ASSERT_EQ(h.dev.ZoneWrittenBytes(i), ref.zone(i).wp) << "zone " << i;
     }
+    h.dev.AuditZones();
   }
 }
 
@@ -319,6 +320,7 @@ TEST(ZnsDegradationProperty, DegradedZonesHoldNoSlotsAndStayDegraded) {
     }
     ASSERT_EQ(h.dev.open_zone_count(), open) << "step " << step;
     ASSERT_EQ(h.dev.active_zone_count(), active) << "step " << step;
+    h.dev.AuditZones();
   }
 }
 

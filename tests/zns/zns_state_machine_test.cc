@@ -212,6 +212,7 @@ TEST(ZnsStateMachine, FinishPadsZoneToFull) {
   EXPECT_EQ(h.dev.ZoneWrittenBytes(0), h.dev.profile().zone_cap_bytes);
   EXPECT_EQ(h.dev.open_zone_count(), 0u);
   EXPECT_EQ(h.dev.active_zone_count(), 0u);
+  h.dev.AuditZones();  // the pad marked every zone block programmed
   // The padded region is readable.
   EXPECT_TRUE(h.Read(0, h.dev.info().zone_cap_lbas - 1, 1).ok());
 }
@@ -222,6 +223,7 @@ TEST(ZnsStateMachine, FinishOfClosedZoneWorks) {
   EXPECT_TRUE(h.Close(0).ok());
   EXPECT_TRUE(h.Finish(0).ok());
   EXPECT_EQ(h.dev.GetZoneState(0), ZoneState::kFull);
+  h.dev.AuditZones();
 }
 
 TEST(ZnsStateMachine, ResetReturnsZoneToEmpty) {
@@ -231,8 +233,10 @@ TEST(ZnsStateMachine, ResetReturnsZoneToEmpty) {
   EXPECT_EQ(h.dev.GetZoneState(0), ZoneState::kEmpty);
   EXPECT_EQ(h.dev.ZoneWrittenBytes(0), 0u);
   EXPECT_EQ(h.dev.active_zone_count(), 0u);
+  h.dev.AuditZones();
   // The zone is immediately rewritable from the start.
   EXPECT_TRUE(h.Write(0, 0, 1).ok());
+  h.dev.AuditZones();
 }
 
 TEST(ZnsStateMachine, ResetOfEmptyZoneSucceeds) {
@@ -246,8 +250,10 @@ TEST(ZnsStateMachine, ResetOfFullZoneRecyclesIt) {
   h.FillZone(0);
   EXPECT_TRUE(h.Reset(0).ok());
   EXPECT_EQ(h.dev.GetZoneState(0), ZoneState::kEmpty);
+  h.dev.AuditZones();
   h.FillZone(0);  // full write-reset-write cycle works
   EXPECT_EQ(h.dev.GetZoneState(0), ZoneState::kFull);
+  h.dev.AuditZones();
 }
 
 TEST(ZnsStateMachine, ResetCountsNandErases) {
@@ -256,6 +262,7 @@ TEST(ZnsStateMachine, ResetCountsNandErases) {
   ASSERT_NE(h.dev.flash(), nullptr);
   EXPECT_TRUE(h.Reset(0).ok());
   EXPECT_GT(h.dev.flash()->counters().block_erases, 0u);
+  h.dev.AuditZones();  // every zone block erased
 }
 
 TEST(ZnsStateMachine, AppendReturnsConsecutiveLbas) {
@@ -305,12 +312,14 @@ TEST(ZnsStateMachine, DebugFillMatchesRealFillObservably) {
   h.dev.DebugFillZone(1, h.dev.profile().zone_cap_bytes);
   EXPECT_EQ(h.dev.GetZoneState(0), h.dev.GetZoneState(1));
   EXPECT_EQ(h.dev.ZoneWrittenBytes(0), h.dev.ZoneWrittenBytes(1));
+  h.dev.AuditZones();  // the fill marked NAND exactly as real writes did
   // Both read and reset behave the same way afterwards.
   EXPECT_TRUE(h.Read(1, 0, 8).ok());
   sim::Time r0 = 0, r1 = 0;
   EXPECT_TRUE(h.Reset(0, &r0).ok());
   EXPECT_TRUE(h.Reset(1, &r1).ok());
   EXPECT_EQ(r0, r1);  // identical occupancy -> identical reset cost
+  h.dev.AuditZones();
 }
 
 TEST(ZnsStateMachine, DebugFillPartialConsumesActiveSlot) {
@@ -318,6 +327,7 @@ TEST(ZnsStateMachine, DebugFillPartialConsumesActiveSlot) {
   h.dev.DebugFillZone(0, 1 << 20);
   EXPECT_EQ(h.dev.GetZoneState(0), ZoneState::kClosed);
   EXPECT_EQ(h.dev.active_zone_count(), 1u);
+  h.dev.AuditZones();
 }
 
 TEST(ZnsStateMachine, NamespaceInfoMatchesProfile) {

@@ -81,8 +81,10 @@ TEST(CostSweep, ResetCostIsMonotonicInOccupancyEverywhere) {
         occ * static_cast<double>(h.dev.profile().zone_cap_bytes));
     bytes -= bytes % 4096;
     h.dev.DebugFillZone(static_cast<std::uint32_t>(zone), bytes);
+    h.dev.AuditZones();  // fills that end mid-page included
     sim::Time lat = 0;
     ASSERT_TRUE(h.Reset(static_cast<std::uint32_t>(zone), &lat).ok());
+    h.dev.AuditZones();
     EXPECT_GE(lat, prev) << "reset cost regressed at occupancy " << occ;
     prev = lat;
     ++zone;
@@ -100,6 +102,7 @@ TEST(CostSweep, FinishCostIsAntitoneInOccupancyEverywhere) {
     h.dev.DebugFillZone(static_cast<std::uint32_t>(zone), bytes);
     sim::Time lat = 0;
     ASSERT_TRUE(h.Finish(static_cast<std::uint32_t>(zone), &lat).ok());
+    h.dev.AuditZones();
     EXPECT_LE(lat, prev) << "finish cost grew at occupancy " << occ;
     prev = lat;
     ASSERT_TRUE(h.Reset(static_cast<std::uint32_t>(zone)).ok());

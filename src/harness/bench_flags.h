@@ -29,10 +29,10 @@
 //                    Ignored (forced to 1, with a warning) when a
 //                    telemetry flag is active, because testbeds then
 //                    funnel snapshots into this process-wide singleton.
-//   --sim-threads=N  run each multi-device ZNS testbed's simulation on
-//                    the parallel per-device-lane engine with N worker
-//                    threads (sim/parallel_sim.h; default 0 = classic
-//                    serial engine). Output is byte-identical for every
+//   --sim-threads=N  give each device of a multi-device ZNS testbed its
+//                    own simulation lane and run the lanes on N worker
+//                    threads (sim/parallel_sim.h; default 0 = one lane
+//                    for everything). Output is byte-identical for every
 //                    N >= 1 because N=1 executes the same bounded-window
 //                    schedule serially. Composes with --jobs: sweep
 //                    points fan out across jobs, devices across sim
@@ -108,8 +108,8 @@ class BenchEnv {
   int jobs_requested() const { return jobs_; }
   /// The --sim-threads value: worker threads for the parallel
   /// discrete-event engine inside each multi-device testbed (testbed.h).
-  /// 0 (default) = classic single-simulator engine; N >= 1 = parallel
-  /// engine with N workers (N=1 runs the same window schedule serially,
+  /// 0 (default) = one lane for the whole testbed; N >= 1 = one lane per
+  /// device, run on N workers (N=1 runs the same window schedule serially,
   /// so output is byte-identical for every N >= 1). Orthogonal to
   /// --jobs, which parallelizes across independent sweep points.
   int sim_threads_requested() const { return sim_threads_; }

@@ -111,58 +111,11 @@ void AccumulateSmart(nvme::SmartLog& a, const nvme::SmartLog& b) {
   a.gc_blocks_erased += b.gc_blocks_erased;
 }
 
-/// Raw pointers to every counter-bearing layer. The layers are all
-/// heap-allocated, so these stay valid across Testbed moves — which is
-/// why the sampler's refresh closure captures a copy of this struct and
-/// never `this` (a moved-from Testbed would dangle).
-struct LayerPtrs {
-  std::vector<zns::ZnsDevice*> zns;
-  ftl::ConvDevice* conv = nullptr;
-  hostif::KernelStack* kernel = nullptr;
-  hostif::StripedStack* striped = nullptr;
-  fault::FaultPlan* faults = nullptr;
-  hostif::ResilientStack* resilient = nullptr;
-};
-
-/// Batch-exports every layer's counters into the registry. With
-/// `per_lane` (a timeline on a striped testbed), additionally exports
-/// `laneN.zns.*` counters so timeline samples can attribute throughput
-/// to individual stripe lanes; plain --metrics snapshots keep the
-/// aggregate-only view.
-void DescribeLayers(const LayerPtrs& l, telemetry::MetricsRegistry& m,
-                    bool per_lane) {
-  if (!l.zns.empty()) {
-    // One device exports its counters directly; a striped set exports the
-    // field-wise sums (still under the usual "zns."/"nand." names).
-    SumCounters(l.zns).Describe(m);
-    SumFlashCounters(l.zns).Describe(m);
-    if (per_lane && l.zns.size() > 1) {
-      for (std::size_t d = 0; d < l.zns.size(); ++d) {
-        const zns::ZnsCounters& c = l.zns[d]->counters();
-        const std::string p = "lane" + std::to_string(d) + ".zns.";
-        m.GetCounter(p + "bytes_written").Set(c.bytes_written);
-        m.GetCounter(p + "bytes_read").Set(c.bytes_read);
-        m.GetCounter(p + "appends").Set(c.appends);
-        m.GetCounter(p + "resets").Set(c.resets);
-      }
-    }
-  }
-  if (l.conv != nullptr) {
-    l.conv->counters().Describe(m);
-    l.conv->flash().counters().Describe(m);
-  }
-  if (l.kernel != nullptr) l.kernel->scheduler_stats().Describe(m);
-  if (l.striped != nullptr) l.striped->stats().Describe(m);
-  if (l.faults != nullptr) l.faults->counters().Describe(m);
-  if (l.resilient != nullptr) l.resilient->stats().Describe(m);
-}
-
-/// Field-wise sum of the parallel engine's per-device fault plans, for
-/// the aggregated "fault." export (classic mode shares one plan instead).
+/// Field-wise sum of every device's fault plan, for the "fault." export.
 fault::FaultCounters SumFaultCounters(
-    const std::vector<std::unique_ptr<fault::FaultPlan>>& plans) {
+    const std::vector<fault::FaultPlan*>& plans) {
   fault::FaultCounters t;
-  for (const auto& p : plans) {
+  for (const auto* p : plans) {
     const fault::FaultCounters& c = p->counters();
     t.correctable_read_errors += c.correctable_read_errors;
     t.uncorrectable_read_errors += c.uncorrectable_read_errors;
@@ -174,25 +127,62 @@ fault::FaultCounters SumFaultCounters(
   return t;
 }
 
-/// Decides which lane each worker of `spec` runs in under the parallel
-/// engine: index 0 = coordinator, 1 + d = device d's lane. A worker is
-/// sharded to a device lane only when every zone it can touch lives on
-/// that one device; whole-job properties that need shared host-side
-/// state — a rate limiter, the retry layer, an explicit worker_ids list,
-/// or an opcode that broadcasts/gathers — pin the entire job to the
-/// coordinator. The decision depends only on the spec and the stripe
-/// map, never on the thread count, so every lane's event schedule is
+/// The striping layer's stats plus those of the device-lane views
+/// (view d serves stripe lane d), so "stripe.devN" counters account for
+/// both proxied and sharded traffic.
+hostif::StripeStats CombinedStripeStats(
+    const hostif::StripedStack& striped,
+    const std::vector<const hostif::StripeLaneView*>& views) {
+  hostif::StripeStats s = striped.stats();
+  for (std::size_t d = 0; d < views.size(); ++d) {
+    const hostif::LaneStats& v = views[d]->stats();
+    hostif::LaneStats& l = s.lanes[d];
+    l.issued += v.issued;
+    l.completed += v.completed;
+    l.errors += v.errors;
+    l.in_flight += v.in_flight;
+    // An upper bound, not the true joint high-water mark: proxied and
+    // sharded traffic peak independently per lane.
+    l.max_in_flight += v.max_in_flight;
+    s.boundary_rejects += views[d]->boundary_rejects();
+  }
+  return s;
+}
+
+/// Device d's decorrelated seed for noise streams and fault plans;
+/// device 0 keeps the base seed, so one device runs unchanged.
+std::uint64_t DeviceSeed(std::uint64_t seed, std::uint32_t d) {
+  return seed + 0x9E3779B97F4A7C15ull * d;
+}
+
+/// Decides which lane each worker of `spec` runs in: index 0 = the host
+/// lane, 1 + d = device d's lane. A worker is sharded to a device lane
+/// only when every zone it can touch lives on that one device; whole-job
+/// properties that need shared host-side state — a rate limiter, the
+/// retry layer, or an opcode that broadcasts/gathers — pin the entire
+/// job to lane 0, as does a testbed with one lane. Only the workers the
+/// spec lists (all of them when worker_ids is empty) are planned. The
+/// decision depends only on the spec, the stripe map and the lane
+/// count, never on the thread count, so every lane's event schedule is
 /// identical for any --sim-threads value.
 std::vector<std::vector<std::uint32_t>> PlanShards(
     const workload::JobSpec& spec, const nvme::NamespaceInfo& info,
-    const hostif::StripeMap& map, bool has_resilient) {
-  std::vector<std::vector<std::uint32_t>> plan(1 + map.num_devices);
+    const hostif::StripeMap& map, std::size_t num_lanes,
+    bool has_resilient) {
+  std::vector<std::vector<std::uint32_t>> plan(num_lanes);
+  std::vector<std::uint32_t> workers = spec.worker_ids;
+  if (workers.empty()) {
+    for (std::uint32_t w = 0; w < spec.workers; ++w) workers.push_back(w);
+  }
   const bool pinned =
-      has_resilient || spec.rate_bytes_per_sec > 0 ||
-      !spec.worker_ids.empty() ||
+      num_lanes == 1 || has_resilient || spec.rate_bytes_per_sec > 0 ||
       (spec.op != nvme::Opcode::kRead && spec.op != nvme::Opcode::kWrite &&
        spec.op != nvme::Opcode::kAppend &&
        spec.op != nvme::Opcode::kZoneMgmtSend);
+  if (pinned) {
+    plan[0] = std::move(workers);
+    return plan;
+  }
   // Resolve the zone list the way Job's constructor does, so per-worker
   // slices match the slices the sharded Jobs will compute.
   std::vector<std::uint32_t> zones = spec.zones;
@@ -200,20 +190,18 @@ std::vector<std::vector<std::uint32_t>> PlanShards(
     zones.reserve(info.num_zones);
     for (std::uint32_t z = 0; z < info.num_zones; ++z) zones.push_back(z);
   }
-  for (std::uint32_t w = 0; w < spec.workers; ++w) {
+  for (std::uint32_t w : workers) {
     std::uint32_t lane = 0;
-    if (!pinned) {
-      const std::vector<std::uint32_t> mine =
-          spec.partition_zones ? workload::ZoneSlice(zones, spec.workers, w)
-                               : zones;
-      if (!mine.empty()) {
-        const std::uint32_t d = map.DeviceOf(mine.front());
-        bool one_device = true;
-        for (std::uint32_t z : mine) {
-          one_device = one_device && map.DeviceOf(z) == d;
-        }
-        if (one_device) lane = 1 + d;
+    const std::vector<std::uint32_t> mine =
+        spec.partition_zones ? workload::ZoneSlice(zones, spec.workers, w)
+                             : zones;
+    if (!mine.empty()) {
+      const std::uint32_t d = map.DeviceOf(mine.front());
+      bool one_device = true;
+      for (std::uint32_t z : mine) {
+        one_device = one_device && map.DeviceOf(z) == d;
       }
+      if (one_device) lane = 1 + d;
     }
     plan[lane].push_back(w);
   }
@@ -227,6 +215,44 @@ std::uint64_t NextParallelEpoch() {
 
 }  // namespace
 
+void Testbed::Layers::Describe(telemetry::MetricsRegistry& m,
+                               bool per_lane) const {
+  if (!zns.empty()) {
+    SumCounters(zns).Describe(m);
+    SumFlashCounters(zns).Describe(m);
+    if (per_lane && zns.size() > 1) {
+      for (std::size_t d = 0; d < zns.size(); ++d) {
+        const zns::ZnsCounters& c = zns[d]->counters();
+        const std::string p = "lane" + std::to_string(d) + ".zns.";
+        m.GetCounter(p + "bytes_written").Set(c.bytes_written);
+        m.GetCounter(p + "bytes_read").Set(c.bytes_read);
+        m.GetCounter(p + "appends").Set(c.appends);
+        m.GetCounter(p + "resets").Set(c.resets);
+      }
+    }
+  }
+  if (conv != nullptr) {
+    conv->counters().Describe(m);
+    conv->flash().counters().Describe(m);
+  }
+  if (kernel != nullptr) kernel->scheduler_stats().Describe(m);
+  if (striped != nullptr) CombinedStripeStats(*striped, views).Describe(m);
+  if (!faults.empty()) SumFaultCounters(faults).Describe(m);
+  if (resilient != nullptr) resilient->stats().Describe(m);
+}
+
+Testbed::Layers Testbed::AllLayers() const {
+  // Lane 0 holds the host-side layers; each device lane adds a device.
+  Layers all = lanes_.front().layers;
+  for (std::size_t l = 1; l < lanes_.size(); ++l) {
+    const Layers& dev = lanes_[l].layers;
+    all.zns.insert(all.zns.end(), dev.zns.begin(), dev.zns.end());
+    all.faults.insert(all.faults.end(), dev.faults.begin(), dev.faults.end());
+    all.views.insert(all.views.end(), dev.views.begin(), dev.views.end());
+  }
+  return all;
+}
+
 Testbed::~Testbed() { Finish(); }
 
 nvme::Controller& Testbed::controller() {
@@ -236,16 +262,10 @@ nvme::Controller& Testbed::controller() {
 
 void Testbed::FillZones(std::uint32_t first, std::uint32_t count) {
   ZSTOR_CHECK_MSG(!zns_devs_.empty(), "FillZones needs a ZNS testbed");
-  const hostif::StripeMap map = ZnsStripeMap();
   for (std::uint32_t z = first; z < first + count; ++z) {
-    zns::ZnsDevice& dev = *zns_devs_[map.DeviceOf(z)];
-    dev.DebugFillZone(map.DeviceZoneOf(z), dev.profile().zone_cap_bytes);
+    zns::ZnsDevice& dev = *zns_devs_[map_.DeviceOf(z)];
+    dev.DebugFillZone(map_.DeviceZoneOf(z), dev.profile().zone_cap_bytes);
   }
-}
-
-hostif::StripeMap Testbed::ZnsStripeMap() const {
-  return {zns_devs_.front()->info().zone_size_lbas,
-          static_cast<std::uint32_t>(zns_devs_.size())};
 }
 
 std::vector<std::uint32_t> Testbed::ZoneList(std::uint32_t first,
@@ -257,74 +277,49 @@ std::vector<std::uint32_t> Testbed::ZoneList(std::uint32_t first,
 }
 
 void Testbed::EnsureSamplersRunning() {
-  // Lane samplers are (re)scheduled from the driving thread before the
-  // engine runs — legal per ParallelSimulator's threading contract.
-  if (sampler_ != nullptr) sampler_->EnsureRunning();
-  for (auto& s : lane_samplers_) {
-    if (s != nullptr) s->EnsureRunning();
+  // Every lane's sampler is (re)scheduled from the driving thread before
+  // the engine runs — legal per ParallelSimulator's threading contract.
+  for (Lane& lane : lanes_) {
+    if (lane.sampler != nullptr) lane.sampler->EnsureRunning();
   }
 }
 
 workload::JobResult Testbed::RunJob(const workload::JobSpec& spec) {
-  EnsureSamplersRunning();
-  workload::JobResult r = psim_ != nullptr
-                              ? RunSharded(spec)
-                              : workload::RunJob(*sim_, *stack_, spec);
-  if (telem_ != nullptr) r.Describe(telem_->metrics());
-  return r;
+  return std::move(RunJobs({spec}).front());
 }
 
 std::vector<workload::JobResult> Testbed::RunJobs(
     const std::vector<workload::JobSpec>& specs) {
   EnsureSamplersRunning();
+  // Start every spec's shards up front so concurrent jobs overlap in
+  // virtual time.
+  std::vector<std::vector<std::unique_ptr<workload::Job>>> all;
+  all.reserve(specs.size());
+  for (const auto& spec : specs) all.push_back(StartSharded(spec));
+  psim_->Run(static_cast<unsigned>(sim_threads_));
   std::vector<workload::JobResult> results;
-  if (psim_ != nullptr) {
-    // Start every spec's shards up front so concurrent jobs overlap in
-    // virtual time exactly as workload::RunJobs makes them overlap.
-    std::vector<std::vector<std::unique_ptr<workload::Job>>> all;
-    all.reserve(specs.size());
-    for (const auto& spec : specs) all.push_back(StartSharded(spec));
-    psim_->Run(static_cast<unsigned>(sim_threads_));
-    results.reserve(all.size());
-    for (auto& parts : all) results.push_back(JoinSharded(parts));
-  } else {
-    std::vector<std::pair<hostif::Stack*, workload::JobSpec>> jobs;
-    jobs.reserve(specs.size());
-    for (const auto& spec : specs) jobs.emplace_back(stack_.get(), spec);
-    results = workload::RunJobs(*sim_, jobs);
-  }
-  if (telem_ != nullptr) {
-    for (const auto& r : results) r.Describe(telem_->metrics());
+  results.reserve(all.size());
+  for (auto& parts : all) results.push_back(JoinSharded(parts));
+  if (telemetry() != nullptr) {
+    for (const auto& r : results) r.Describe(telemetry()->metrics());
   }
   return results;
 }
 
-workload::JobResult Testbed::RunSharded(const workload::JobSpec& spec) {
-  std::vector<std::unique_ptr<workload::Job>> parts = StartSharded(spec);
-  psim_->Run(static_cast<unsigned>(sim_threads_));
-  return JoinSharded(parts);
-}
-
 std::vector<std::unique_ptr<workload::Job>> Testbed::StartSharded(
     const workload::JobSpec& spec) {
-  ZSTOR_CHECK(psim_ != nullptr && striped_ != nullptr);
   const std::vector<std::vector<std::uint32_t>> plan = PlanShards(
-      spec, stack_->info(), striped_->map(), resilient_ != nullptr);
+      spec, stack_->info(), map_, lanes_.size(), resilient_ != nullptr);
   std::vector<std::unique_ptr<workload::Job>> parts;
-  // Coordinator part first, then device lanes in index order; JoinSharded
+  // Lane 0's part first, then device lanes in index order; JoinSharded
   // merges in this fixed order so results are layout-deterministic.
-  if (!plan[0].empty()) {
+  for (std::uint32_t l = 0; l < lanes_.size(); ++l) {
+    if (plan[l].empty()) continue;
     workload::JobSpec s = spec;
-    s.worker_ids = plan[0];
+    s.worker_ids = plan[l];
+    hostif::Stack& target = l == 0 ? *stack_ : *lanes_[l].view;
     parts.push_back(
-        std::make_unique<workload::Job>(psim_->lane(0), *stack_, s));
-  }
-  for (std::uint32_t d = 0; d < lane_views_.size(); ++d) {
-    if (plan[1 + d].empty()) continue;
-    workload::JobSpec s = spec;
-    s.worker_ids = plan[1 + d];
-    parts.push_back(std::make_unique<workload::Job>(
-        psim_->lane(1 + d), *lane_views_[d], s));
+        std::make_unique<workload::Job>(psim_->lane(l), target, s));
   }
   // All lanes share one clock at Run boundaries (the engine realigns
   // them at quiescence), so every part computes identical start/end
@@ -337,58 +332,25 @@ workload::JobResult Testbed::JoinSharded(
     std::vector<std::unique_ptr<workload::Job>>& parts) {
   ZSTOR_CHECK_MSG(!parts.empty(), "job sharded to zero lanes");
   ZSTOR_CHECK_MSG(parts.front()->Done(),
-                  "parallel run ended with an unfinished job shard");
+                  "run ended with an unfinished job shard");
   workload::JobResult r = parts.front()->result();
   for (std::size_t i = 1; i < parts.size(); ++i) {
     ZSTOR_CHECK_MSG(parts[i]->Done(),
-                    "parallel run ended with an unfinished job shard");
+                    "run ended with an unfinished job shard");
     r.Merge(parts[i]->result());
   }
   return r;
 }
 
-hostif::StripeStats Testbed::CombinedStripeStats() const {
-  hostif::StripeStats s = striped_->stats();
-  for (std::size_t d = 0; d < lane_views_.size(); ++d) {
-    const hostif::LaneStats& v = lane_views_[d]->stats();
-    hostif::LaneStats& l = s.lanes[d];
-    l.issued += v.issued;
-    l.completed += v.completed;
-    l.errors += v.errors;
-    l.in_flight += v.in_flight;
-    // An upper bound, not the true joint high-water mark: proxied and
-    // sharded traffic peak independently per lane.
-    l.max_in_flight += v.max_in_flight;
-    s.boundary_rejects += lane_views_[d]->boundary_rejects();
-  }
-  return s;
-}
-
 telemetry::Snapshot Testbed::TakeSnapshot() {
-  ZSTOR_CHECK_MSG(telem_ != nullptr,
+  ZSTOR_CHECK_MSG(telemetry() != nullptr,
                   "TakeSnapshot requires telemetry (WithTelemetry or "
                   "--trace/--metrics)");
-  telemetry::MetricsRegistry& m = telem_->metrics();
-  LayerPtrs layers;
-  layers.zns.reserve(zns_devs_.size());
-  for (const auto& dev : zns_devs_) layers.zns.push_back(dev.get());
-  layers.conv = conv_.get();
-  layers.kernel = kernel_;
-  layers.striped = striped_;
-  layers.faults = faults_.get();
-  layers.resilient = resilient_;
-  // Keep lane counters out of snapshots unless a timeline already
-  // introduced them (the sampler's refresh uses per-lane mode, and mixing
+  telemetry::MetricsRegistry& m = telemetry()->metrics();
+  // Keep stripe-lane counters out of snapshots unless a timeline already
+  // introduced them (the samplers refresh in per-lane mode, and mixing
   // per-lane presence across snapshots of one run would be confusing).
-  DescribeLayers(layers, m, /*per_lane=*/sampler_ != nullptr);
-  if (psim_ != nullptr) {
-    // The describes above covered the coordinator's layers; fold in the
-    // device-lane halves that Set-overwrite cleanly (stripe totals and
-    // the fault sum). Lane registries themselves merge only at Finish —
-    // merging here would double-count when Finish later re-merges.
-    CombinedStripeStats().Describe(m);
-    if (!lane_faults_.empty()) SumFaultCounters(lane_faults_).Describe(m);
-  }
+  AllLayers().Describe(m, /*per_lane=*/sampler() != nullptr);
   return m.TakeSnapshot();
 }
 
@@ -408,9 +370,8 @@ nvme::SmartLog Testbed::Smart() const {
 nvme::ZoneReportLog Testbed::ZoneReport() const {
   ZSTOR_CHECK_MSG(!zns_devs_.empty(), "ZoneReport needs a ZNS testbed");
   if (zns_devs_.size() == 1) return zns_devs_.front()->GetZoneReportLog();
-  const hostif::StripeMap map = ZnsStripeMap();
   std::vector<nvme::ZoneReportLog> per_dev;
-  per_dev.reserve(map.num_devices);
+  per_dev.reserve(zns_devs_.size());
   nvme::ZoneReportLog agg;
   for (const auto& dev : zns_devs_) {
     per_dev.push_back(dev->GetZoneReportLog());
@@ -426,10 +387,11 @@ nvme::ZoneReportLog Testbed::ZoneReport() const {
   agg.zones.reserve(agg.num_zones);
   for (std::uint32_t lz = 0; lz < agg.num_zones; ++lz) {
     nvme::ZoneReportEntry e =
-        per_dev[map.DeviceOf(lz)].zones[map.DeviceZoneOf(lz)];
+        per_dev[map_.DeviceOf(lz)].zones[map_.DeviceZoneOf(lz)];
     e.zone = lz;
-    e.write_pointer = map.ToLogicalWritePointer(lz, e.zslba, e.write_pointer);
-    e.zslba = map.ZoneStartLba(lz);
+    e.write_pointer =
+        map_.ToLogicalWritePointer(lz, e.zslba, e.write_pointer);
+    e.zslba = map_.ZoneStartLba(lz);
     agg.zones.push_back(std::move(e));
   }
   return agg;
@@ -471,32 +433,10 @@ bool Testbed::WriteLogPages(const std::string& path) const {
   return true;
 }
 
-void Testbed::MergeLaneTelemetry() {
-  if (lanes_merged_ || telem_ == nullptr || psim_ == nullptr) return;
-  lanes_merged_ = true;
-  for (std::size_t d = 0; d < lane_telems_.size(); ++d) {
-    if (lane_telems_[d] == nullptr) continue;
-    telemetry::MetricsRegistry& lm = lane_telems_[d]->metrics();
-    // Final batch export so each lane registry holds end-of-run values
-    // even when no timeline sampler ever refreshed it.
-    zns_devs_[d]->counters().Describe(lm);
-    if (zns_devs_[d]->flash() != nullptr) {
-      zns_devs_[d]->flash()->counters().Describe(lm);
-    }
-    if (d < lane_faults_.size() && lane_faults_[d] != nullptr) {
-      lane_faults_[d]->counters().Describe(lm);
-    }
-    // Counters Add (then TakeSnapshot's Set-based describes overwrite
-    // the sums with the authoritative totals); histograms merge — the
-    // whole point, since per-command latencies live lane-side.
-    telem_->metrics().MergeFrom(lm);
-  }
-}
-
 void Testbed::Finish() {
-  if (finished_ || telem_ == nullptr) return;
+  if (finished_ || lanes_.empty() || telemetry() == nullptr) return;
   finished_ = true;
-  if (sampler_ != nullptr || !lane_samplers_.empty()) {
+  if (sampler() != nullptr) {
     // Close out the timeline: emit die-busy windows still open at end of
     // run, then a final partial-interval sample so no activity after the
     // last tick is lost.
@@ -504,12 +444,20 @@ void Testbed::Finish() {
       if (dev->flash() != nullptr) dev->flash()->FlushDieWindows();
     }
     if (conv_ != nullptr) conv_->flash().FlushDieWindows();
-    for (auto& s : lane_samplers_) {
-      if (s != nullptr) s->SampleFinal();
-    }
-    if (sampler_ != nullptr) sampler_->SampleFinal();
+    for (Lane& lane : lanes_) lane.sampler->SampleFinal();
   }
-  MergeLaneTelemetry();
+  telemetry::MetricsRegistry& m = telemetry()->metrics();
+  for (std::size_t l = 1; l < lanes_.size(); ++l) {
+    telemetry::MetricsRegistry& lm = lanes_[l].telem->metrics();
+    // Device lanes report into registries of their own; fold them into
+    // lane 0's, after a final batch export so each holds end-of-run
+    // values even when no timeline sampler ever refreshed it. Counters add
+    // (then TakeSnapshot's Set-based describes overwrite the sums with
+    // the totals); histograms merge — the whole point, since
+    // per-command latencies live lane-side.
+    lanes_[l].layers.Describe(lm, /*per_lane=*/false);
+    m.MergeFrom(lm);
+  }
   if (logpages_to_env_ && (!zns_devs_.empty() || conv_ != nullptr)) {
     harness::BenchEnv::Get().AddLogPages(label_, LogPagesJson());
   }
@@ -527,28 +475,20 @@ void Testbed::Finish() {
   if (report_to_env_) {
     harness::BenchEnv::Get().AddSnapshot(label_, std::move(snap));
   }
-  if (psim_ != nullptr) {
-    // Replay buffered lane telemetry into the real sinks in fixed lane
-    // order (coordinator, then devices) — byte-identical output for any
-    // worker-thread count.
-    if (final_sink_ != nullptr) {
-      if (coord_shard_ != nullptr) coord_shard_->ReplayInto(*final_sink_);
-      for (telemetry::ShardSink* sh : lane_shards_) {
-        if (sh != nullptr) sh->ReplayInto(*final_sink_);
-      }
-      final_sink_->Flush();
-    }
-    if (final_timeline_ != nullptr) {
-      for (auto& cap : lane_tl_captures_) {
-        if (cap != nullptr) {
-          final_timeline_->AppendRaw(*cap);
-          cap->clear();
-        }
-      }
-      final_timeline_->Flush();
-    }
+  // Replay the lanes' buffered telemetry into the real sinks in fixed
+  // lane order — byte-identical output for any worker-thread count.
+  if (final_sink_ != nullptr) {
+    for (Lane& lane : lanes_) lane.shard->ReplayInto(*final_sink_);
+    final_sink_->Flush();
   }
-  telem_->Flush();
+  if (final_timeline_ != nullptr) {
+    for (Lane& lane : lanes_) {
+      final_timeline_->AppendRaw(*lane.tl_capture);
+      lane.tl_capture->clear();
+    }
+    final_timeline_->Flush();
+  }
+  telemetry()->Flush();
 }
 
 TestbedBuilder& TestbedBuilder::WithZnsProfile(const zns::ZnsProfile& p) {
@@ -600,8 +540,8 @@ TestbedBuilder& TestbedBuilder::WithRetryPolicy(
 }
 
 TestbedBuilder& TestbedBuilder::WithSimThreads(int n) {
-  // n = 0 explicitly forces the classic engine even when --sim-threads
-  // is set; n >= 1 selects the parallel engine with n workers.
+  // n = 0 explicitly keeps one lane even when --sim-threads is set;
+  // n >= 1 gives devices their own lanes, run on n workers.
   ZSTOR_CHECK_MSG(n >= 0, "WithSimThreads needs n >= 0");
   sim_threads_ = n;
   return *this;
@@ -612,109 +552,104 @@ Testbed TestbedBuilder::Build() {
   ZSTOR_CHECK_MSG(num_devices_ == 1 || !conv_profile_.has_value(),
                   "multi-device testbeds stripe ZNS devices only");
   harness::BenchEnv& env = harness::BenchEnv::Get();
-  // Engine selection: the builder override wins over --sim-threads; the
-  // parallel engine needs >= 2 devices to have lanes worth splitting
-  // (single-device and conventional testbeds keep the classic engine).
-  const int sim_threads = sim_threads_.value_or(env.sim_threads_requested());
-  const bool parallel =
-      sim_threads >= 1 && num_devices_ >= 2 && !conv_profile_.has_value();
+  // Lanes: the builder override wins over --sim-threads. Devices get
+  // lanes of their own, run on the requested worker threads, only when
+  // there are >= 2 ZNS devices to split; otherwise everything shares
+  // lane 0.
+  const int requested = sim_threads_.value_or(env.sim_threads_requested());
+  const int sim_threads =
+      num_devices_ >= 2 && !conv_profile_.has_value() ? requested : 0;
+  const std::uint32_t num_lanes = sim_threads >= 1 ? 1 + num_devices_ : 1;
   Testbed tb;
-  if (parallel) {
-    tb.psim_ = std::make_unique<sim::ParallelSimulator>(num_devices_ + 1,
-                                                        kInterconnectHop);
-    // Only the coordinator originates work between messages (workload
-    // workers, rate limiters, retry timers); device lanes react.
-    tb.psim_->SetSpontaneous(0, true);
-    tb.sim_threads_ = sim_threads;
-  } else {
-    tb.sim_ = std::make_unique<sim::Simulator>();
-  }
-  auto host_sim = [&tb]() -> sim::Simulator& { return tb.sim(); };
-  auto dev_sim = [&tb, parallel](std::uint32_t d) -> sim::Simulator& {
-    return parallel ? tb.psim_->lane(1 + d) : *tb.sim_;
-  };
+  tb.psim_ =
+      std::make_unique<sim::ParallelSimulator>(num_lanes, kInterconnectHop);
+  // Only lane 0 originates work between messages (workload workers, rate
+  // limiters, retry timers); device lanes react. A lone lane has no peer
+  // to bound, and marking it would cut the run into one window per
+  // lookahead.
+  tb.psim_->SetSpontaneous(0, num_lanes > 1);
+  tb.sim_threads_ = sim_threads;
+  tb.lanes_.resize(num_lanes);
+  Testbed::Lane& host = tb.lanes_.front();
 
-  // Devices.
+  // Devices, each in its lane.
   if (conv_profile_.has_value()) {
-    tb.conv_ = std::make_unique<ftl::ConvDevice>(*tb.sim_, *conv_profile_);
+    tb.conv_ = std::make_unique<ftl::ConvDevice>(tb.sim(), *conv_profile_);
+    host.layers.conv = tb.conv_.get();
   } else {
     const zns::ZnsProfile base = zns_profile_.value_or(zns::Zn540Profile());
     for (std::uint32_t d = 0; d < num_devices_; ++d) {
       zns::ZnsProfile p = base;
       // Distinct per-device noise streams; devices are otherwise twins.
-      p.seed = base.seed + 0x9E3779B97F4A7C15ull * d;
-      tb.zns_devs_.push_back(
-          std::make_unique<zns::ZnsDevice>(dev_sim(d), p, lba_bytes_));
+      p.seed = DeviceSeed(base.seed, d);
+      tb.zns_devs_.push_back(std::make_unique<zns::ZnsDevice>(
+          tb.psim_->lane(tb.LaneOf(d)), p, lba_bytes_));
+      tb.lanes_[tb.LaneOf(d)].layers.zns.push_back(tb.zns_devs_.back().get());
     }
+    tb.map_ = {tb.zns_devs_.front()->info().zone_size_lbas, num_devices_};
   }
 
   // Faults: explicit builder spec wins; otherwise the --faults flag
-  // applies to every testbed the bench builds. Classic mode shares one
-  // plan across the device set (its counters then report set-wide fault
-  // activity); the parallel engine gives each device a private plan —
-  // same spec, per-device-decorrelated seed — because a shared plan's
-  // RNG would be pulled from several lanes at once, making fault
-  // placement depend on thread interleaving.
+  // applies to every testbed the bench builds. Each device owns a plan —
+  // same spec, per-device-decorrelated seed — so a device draws the same
+  // fault sequence whichever lane it lives in, and no plan's RNG is ever
+  // pulled from two lanes.
   fault::FaultSpec fspec =
       fault_spec_.value_or(env.faults_requested() ? env.fault_spec()
                                                   : fault::FaultSpec{});
   if (fspec.enabled) {
-    if (parallel) {
-      for (std::uint32_t d = 0; d < num_devices_; ++d) {
-        fault::FaultSpec per_dev = fspec;
-        per_dev.seed = fspec.seed + 0x9E3779B97F4A7C15ull * d;
-        tb.lane_faults_.push_back(
-            std::make_unique<fault::FaultPlan>(per_dev));
-        tb.zns_devs_[d]->AttachFaultPlan(tb.lane_faults_.back().get());
+    for (std::uint32_t d = 0; d < tb.num_devices(); ++d) {
+      fault::FaultSpec per_dev = fspec;
+      per_dev.seed = DeviceSeed(fspec.seed, d);
+      tb.faults_.push_back(std::make_unique<fault::FaultPlan>(per_dev));
+      fault::FaultPlan* plan = tb.faults_.back().get();
+      if (tb.conv_ != nullptr) {
+        tb.conv_->AttachFaultPlan(plan);
+      } else {
+        tb.zns_devs_[d]->AttachFaultPlan(plan);
       }
-    } else {
-      tb.faults_ = std::make_unique<fault::FaultPlan>(fspec);
-      for (auto& dev : tb.zns_devs_) dev->AttachFaultPlan(tb.faults_.get());
-      if (tb.conv_ != nullptr) tb.conv_->AttachFaultPlan(tb.faults_.get());
+      tb.lanes_[tb.LaneOf(d)].layers.faults.push_back(plan);
     }
   }
 
-  // Host stack(s): one lane per device via the shared factory; the lanes
-  // of a multi-device set are striped into one logical namespace. Under
-  // the parallel engine each device's real stack lives in that device's
-  // lane and the coordinator's StripedStack routes through MailboxStack
-  // proxies; a StripeLaneView per device serves sharded workers locally.
-  if (parallel) {
-    std::vector<std::unique_ptr<hostif::Stack>> proxies;
-    proxies.reserve(num_devices_);
-    for (std::uint32_t d = 0; d < num_devices_; ++d) {
-      tb.lane_stacks_.push_back(
-          hostif::MakeStack(stack_, dev_sim(d), *tb.zns_devs_[d])
-              .stack);
-      proxies.push_back(std::make_unique<hostif::MailboxStack>(
-          *tb.psim_, /*host_lane=*/0, /*dev_lane=*/1 + d,
-          *tb.lane_stacks_.back()));
+  // Host stacks: each device's stack is built in the device's lane. Lane
+  // 0 reaches it directly when they share the lane, and through a
+  // MailboxStack proxy when they do not; two or more devices are striped
+  // into one logical namespace.
+  std::vector<std::unique_ptr<hostif::Stack>> reach;
+  for (std::uint32_t d = 0; d < tb.num_devices(); ++d) {
+    const std::uint32_t l = tb.LaneOf(d);
+    nvme::Controller& dev =
+        tb.conv_ != nullptr ? static_cast<nvme::Controller&>(*tb.conv_)
+                            : *tb.zns_devs_[d];
+    hostif::MadeStack made = hostif::MakeStack(stack_, tb.psim_->lane(l), dev);
+    if (num_devices_ == 1) tb.kernel_ = made.kernel;
+    if (l == 0) {
+      reach.push_back(std::move(made.stack));
+      continue;
     }
-    auto striped = std::make_unique<hostif::StripedStack>(
-        tb.psim_->lane(0), std::move(proxies));
-    tb.striped_ = striped.get();
-    tb.stack_ = std::move(striped);
-    for (std::uint32_t d = 0; d < num_devices_; ++d) {
-      tb.lane_views_.push_back(std::make_unique<hostif::StripeLaneView>(
-          dev_sim(d), *tb.lane_stacks_[d], tb.striped_->map(), d,
-          tb.striped_->info()));
-    }
-  } else if (tb.zns_devs_.size() > 1) {
-    std::vector<std::unique_ptr<hostif::Stack>> lanes;
-    lanes.reserve(tb.zns_devs_.size());
-    for (auto& dev : tb.zns_devs_) {
-      lanes.push_back(
-          hostif::MakeStack(stack_, *tb.sim_, *dev).stack);
-    }
+    Testbed::Lane& lane = tb.lanes_[l];
+    lane.stack = std::move(made.stack);
+    reach.push_back(std::make_unique<hostif::MailboxStack>(
+        *tb.psim_, /*host_lane=*/0, /*dev_lane=*/l, *lane.stack));
+  }
+  if (reach.size() >= 2) {
     auto striped =
-        std::make_unique<hostif::StripedStack>(*tb.sim_, std::move(lanes));
+        std::make_unique<hostif::StripedStack>(tb.sim(), std::move(reach));
     tb.striped_ = striped.get();
     tb.stack_ = std::move(striped);
   } else {
-    hostif::MadeStack made =
-        hostif::MakeStack(stack_, *tb.sim_, tb.controller());
-    tb.kernel_ = made.kernel;
-    tb.stack_ = std::move(made.stack);
+    tb.stack_ = std::move(reach.front());
+  }
+  host.layers.kernel = tb.kernel_;
+  host.layers.striped = tb.striped_;
+  // Workers sharded to a device lane submit through a view of the
+  // logical namespace there.
+  for (std::uint32_t l = 1; l < num_lanes; ++l) {
+    Testbed::Lane& lane = tb.lanes_[l];
+    lane.view = std::make_unique<hostif::StripeLaneView>(
+        tb.psim_->lane(l), *lane.stack, tb.map_, l - 1, tb.stack_->info());
+    lane.layers.views.push_back(lane.view.get());
   }
 
   // Host resilience: wrap the stack when a policy was given, or by
@@ -724,23 +659,24 @@ Testbed TestbedBuilder::Build() {
   if (retry_policy_.has_value() || fspec.enabled) {
     tb.inner_stack_ = std::move(tb.stack_);
     auto resilient = std::make_unique<hostif::ResilientStack>(
-        host_sim(), *tb.inner_stack_,
+        tb.sim(), *tb.inner_stack_,
         retry_policy_.value_or(hostif::RetryPolicy{}));
     tb.resilient_ = resilient.get();
+    host.layers.resilient = tb.resilient_;
     tb.stack_ = std::move(resilient);
   }
 
   // Telemetry: explicit config wins; otherwise the bench flags decide.
   sim::Time sample_interval = sim::Milliseconds(100);
   if (telem_cfg_.has_value()) {
-    tb.telem_ = std::make_unique<telemetry::Telemetry>();
+    host.telem = std::make_unique<telemetry::Telemetry>();
     if (telem_cfg_->ring_capacity > 0) {
       auto ring =
           std::make_unique<telemetry::RingBufferSink>(telem_cfg_->ring_capacity);
       tb.ring_ = ring.get();
-      tb.telem_->SetSink(std::move(ring));
+      host.telem->SetSink(std::move(ring));
     } else if (!telem_cfg_->trace_path.empty()) {
-      tb.telem_->SetSink(
+      host.telem->SetSink(
           std::make_unique<telemetry::JsonlFileSink>(telem_cfg_->trace_path));
     }
     tb.metrics_path_ = telem_cfg_->metrics_path;
@@ -755,127 +691,89 @@ Testbed TestbedBuilder::Build() {
                     telem_cfg_->timeline_path);
       writer->set_die_merge_gap_ns(
           telemetry::TimelineWriter::DefaultMergeGap(sample_interval));
-      tb.telem_->SetTimeline(std::move(writer));
+      host.telem->SetTimeline(std::move(writer));
     }
   } else if (env.telemetry_requested()) {
-    tb.telem_ = std::make_unique<telemetry::Telemetry>();
+    host.telem = std::make_unique<telemetry::Telemetry>();
     if (telemetry::TraceSink* sink = env.shared_sink(); sink != nullptr) {
-      tb.telem_->SetExternalSink(sink);
+      host.telem->SetExternalSink(sink);
     }
     if (env.timeline_requested()) {
-      tb.telem_->SetExternalTimeline(env.shared_timeline());
+      host.telem->SetExternalTimeline(env.shared_timeline());
       sample_interval = env.sample_interval();
     }
     tb.report_to_env_ = true;
     tb.logpages_to_env_ = env.logpages_requested();
   }
-  if (tb.telem_ != nullptr) {
-    tb.label_ = label_.empty() ? env.NextLabel() : label_;
-    // Sweep benches rebuild same-labeled testbeds per point, each
-    // restarting virtual time at 0 — in the shared timeline file those
-    // must stay distinct record groups ("gc-conv", "gc-conv#2", ...).
-    tb.telem_->set_timeline_label(
-        telem_cfg_.has_value() ? tb.label_
-                               : env.UniqueTimelineLabel(tb.label_));
-    if (parallel) {
-      // Each lane buffers its telemetry privately during the run (a
-      // shared sink or writer would interleave nondeterministically and
-      // race); Finish replays the buffers into the real outputs in lane
-      // order. Trace ids get per-lane namespaces so ids allocated
-      // concurrently never collide — and never depend on interleaving.
-      const std::uint64_t ns_base = (NextParallelEpoch() & 0xFFFFull) << 48;
-      tb.telem_->tracer().SetIdNamespace(ns_base | (1ull << 40));
-      if (tb.telem_->tracer().sink() != nullptr) {
-        tb.final_sink_ = tb.telem_->tracer().sink();
-        tb.final_sink_owned_ = tb.telem_->TakeOwnedSink();
-        auto shard = std::make_unique<telemetry::ShardSink>();
-        tb.coord_shard_ = shard.get();
-        tb.telem_->SetSink(std::move(shard));
-      }
-      if (tb.telem_->timeline() != nullptr) {
-        tb.final_timeline_ = tb.telem_->timeline();
-        tb.final_timeline_owned_ = tb.telem_->TakeOwnedTimeline();
-        tb.lane_tl_captures_.push_back(std::make_unique<std::string>());
-        auto w = std::make_unique<telemetry::TimelineWriter>(
-            tb.lane_tl_captures_.back().get());
-        w->set_die_merge_gap_ns(tb.final_timeline_->die_merge_gap_ns());
-        tb.telem_->SetTimeline(std::move(w));
-      }
-      for (std::uint32_t d = 0; d < num_devices_; ++d) {
-        auto lt = std::make_unique<telemetry::Telemetry>();
-        lt->tracer().SetIdNamespace(ns_base | ((2ull + d) << 40));
-        lt->set_timeline_label(tb.telem_->timeline_label() + "/lane" +
-                               std::to_string(d));
-        if (tb.final_sink_ != nullptr) {
-          auto shard = std::make_unique<telemetry::ShardSink>();
-          tb.lane_shards_.push_back(shard.get());
-          lt->SetSink(std::move(shard));
-        }
-        if (tb.final_timeline_ != nullptr) {
-          tb.lane_tl_captures_.push_back(std::make_unique<std::string>());
-          auto w = std::make_unique<telemetry::TimelineWriter>(
-              tb.lane_tl_captures_.back().get());
-          w->set_die_merge_gap_ns(tb.final_timeline_->die_merge_gap_ns());
-          lt->SetTimeline(std::move(w));
-        }
-        tb.lane_telems_.push_back(std::move(lt));
-      }
-      for (std::uint32_t d = 0; d < num_devices_; ++d) {
-        tb.zns_devs_[d]->AttachTelemetry(tb.lane_telems_[d].get(), d);
-        tb.lane_stacks_[d]->AttachTelemetry(tb.lane_telems_[d].get());
-        tb.lane_views_[d]->AttachTelemetry(tb.lane_telems_[d].get());
-      }
-    } else {
-      for (std::size_t d = 0; d < tb.zns_devs_.size(); ++d) {
-        tb.zns_devs_[d]->AttachTelemetry(tb.telem_.get(),
-                                         static_cast<std::uint32_t>(d));
-      }
-      if (tb.conv_ != nullptr) tb.conv_->AttachTelemetry(tb.telem_.get());
+  if (host.telem == nullptr) return tb;
+  tb.label_ = label_.empty() ? env.NextLabel() : label_;
+  // Sweep benches rebuild same-labeled testbeds per point, each
+  // restarting virtual time at 0 — in the shared timeline file those
+  // must stay distinct record groups ("gc-conv", "gc-conv#2", ...).
+  host.telem->set_timeline_label(
+      telem_cfg_.has_value() ? tb.label_ : env.UniqueTimelineLabel(tb.label_));
+  if (num_lanes > 1) {
+    // Each lane buffers its telemetry privately during the run (a shared
+    // sink or writer would interleave nondeterministically and race);
+    // Finish replays the buffers into the real outputs in lane order.
+    // Trace ids get per-lane namespaces so ids allocated concurrently
+    // never collide — and never depend on interleaving.
+    const std::uint64_t ns_base = (NextParallelEpoch() & 0xFFFFull) << 48;
+    tb.final_sink_ = host.telem->tracer().sink();
+    if (tb.final_sink_ != nullptr) {
+      tb.final_sink_owned_ = host.telem->TakeOwnedSink();
     }
-    tb.stack_->AttachTelemetry(tb.telem_.get());
-    if (tb.telem_->timeline() != nullptr) {
-      tb.sampler_ = std::make_unique<telemetry::MetricSampler>(
-          host_sim(), tb.telem_->metrics(), *tb.telem_->timeline(),
-          sample_interval, tb.telem_->timeline_label());
+    tb.final_timeline_ = host.telem->timeline();
+    if (tb.final_timeline_ != nullptr) {
+      tb.final_timeline_owned_ = host.telem->TakeOwnedTimeline();
+    }
+    for (std::uint32_t l = 0; l < num_lanes; ++l) {
+      Testbed::Lane& lane = tb.lanes_[l];
+      if (l > 0) {
+        lane.telem = std::make_unique<telemetry::Telemetry>();
+        lane.telem->set_timeline_label(host.telem->timeline_label() +
+                                       "/lane" + std::to_string(l - 1));
+      }
+      lane.telem->tracer().SetIdNamespace(ns_base | ((1ull + l) << 40));
+      if (tb.final_sink_ != nullptr) {
+        auto shard = std::make_unique<telemetry::ShardSink>();
+        lane.shard = shard.get();
+        lane.telem->SetSink(std::move(shard));
+      }
+      if (tb.final_timeline_ != nullptr) {
+        lane.tl_capture = std::make_unique<std::string>();
+        auto w =
+            std::make_unique<telemetry::TimelineWriter>(lane.tl_capture.get());
+        w->set_die_merge_gap_ns(tb.final_timeline_->die_merge_gap_ns());
+        lane.telem->SetTimeline(std::move(w));
+      }
+    }
+  }
+  // Every layer reports into the telemetry of the lane it lives in.
+  for (std::uint32_t d = 0; d < tb.zns_devs_.size(); ++d) {
+    tb.zns_devs_[d]->AttachTelemetry(tb.lanes_[tb.LaneOf(d)].telem.get(), d);
+  }
+  if (tb.conv_ != nullptr) tb.conv_->AttachTelemetry(host.telem.get());
+  for (Testbed::Lane& lane : tb.lanes_) {
+    if (lane.stack != nullptr) lane.stack->AttachTelemetry(lane.telem.get());
+    if (lane.view != nullptr) lane.view->AttachTelemetry(lane.telem.get());
+  }
+  tb.stack_->AttachTelemetry(host.telem.get());
+  if (host.telem->timeline() != nullptr) {
+    for (std::uint32_t l = 0; l < num_lanes; ++l) {
+      Testbed::Lane& lane = tb.lanes_[l];
+      lane.sampler = std::make_unique<telemetry::MetricSampler>(
+          tb.psim_->lane(l), lane.telem->metrics(), *lane.telem->timeline(),
+          sample_interval, lane.telem->timeline_label());
       // The refresh hook re-exports batch counters before each sample so
-      // deltas reflect live device state, not the last TakeSnapshot().
-      // Captures raw layer pointers (stable), never &tb (Testbed moves).
-      // Under the parallel engine the coordinator's hook reads ONLY
-      // coordinator-lane state (stripe proxies, retry layer): device and
-      // fault counters mutate concurrently in other lanes and are
-      // sampled by the per-lane hooks below instead.
-      LayerPtrs layers;
-      if (!parallel) {
-        layers.zns.reserve(tb.zns_devs_.size());
-        for (const auto& dev : tb.zns_devs_) layers.zns.push_back(dev.get());
-        layers.conv = tb.conv_.get();
-        layers.faults = tb.faults_.get();
-      }
-      layers.kernel = tb.kernel_;
-      layers.striped = tb.striped_;
-      layers.resilient = tb.resilient_;
-      telemetry::MetricsRegistry* m = &tb.telem_->metrics();
-      tb.sampler_->SetRefresh([layers, m] {
-        DescribeLayers(layers, *m, /*per_lane=*/true);
+      // deltas reflect live state, not the last TakeSnapshot(). It reads
+      // only the layers living in this lane (the others mutate
+      // concurrently in other lanes) through a copy of their pointers,
+      // never &tb (Testbed moves).
+      telemetry::MetricsRegistry* m = &lane.telem->metrics();
+      lane.sampler->SetRefresh([layers = lane.layers, m] {
+        layers.Describe(*m, /*per_lane=*/true);
       });
-      if (parallel) {
-        for (std::uint32_t d = 0; d < num_devices_; ++d) {
-          telemetry::Telemetry& lt = *tb.lane_telems_[d];
-          auto s = std::make_unique<telemetry::MetricSampler>(
-              dev_sim(d), lt.metrics(), *lt.timeline(), sample_interval,
-              lt.timeline_label());
-          zns::ZnsDevice* dev = tb.zns_devs_[d].get();
-          fault::FaultPlan* fp =
-              d < tb.lane_faults_.size() ? tb.lane_faults_[d].get() : nullptr;
-          telemetry::MetricsRegistry* lm = &lt.metrics();
-          s->SetRefresh([dev, fp, lm] {
-            dev->counters().Describe(*lm);
-            if (dev->flash() != nullptr) dev->flash()->counters().Describe(*lm);
-            if (fp != nullptr) fp->counters().Describe(*lm);
-          });
-          tb.lane_samplers_.push_back(std::move(s));
-        }
-      }
     }
   }
   return tb;

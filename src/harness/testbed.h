@@ -12,7 +12,7 @@
 //   tb.Finish();                     // flush trace, write metrics JSON
 //
 // Multi-device: .WithDevices(n) builds n identical ZNS devices, each with
-// its own host-stack lane, striped into one logical namespace by
+// its own host stack, striped into one logical namespace by
 // hostif::StripedStack (logical zone z -> device z % n). Log pages and
 // FillZones aggregate/route across devices transparently.
 //
@@ -22,14 +22,20 @@
 // all sharing one JSONL sink, with per-testbed metrics snapshots written
 // at exit.
 //
-// Parallel engine: .WithSimThreads(n) (or the --sim-threads=N flag) runs
-// a multi-device ZNS testbed on sim::ParallelSimulator — lane 0 hosts
-// the coordinator (StripedStack over MailboxStack proxies, ResilientStack,
-// rate-limited/broadcast workload workers), lanes 1..n each own one
-// device plus its host-stack slice, and workload workers whose zones all
-// live on one device run inside that device's lane against a
-// StripeLaneView (hostif/lane_stacks.h). Output — results, trace,
-// timeline, metrics — is byte-identical for every n >= 1 (DESIGN.md §12).
+// Lanes (DESIGN.md §12): every testbed runs on a sim::ParallelSimulator.
+// By default it has one lane, which holds every device, the host stack
+// and the workload; a run is then one unbounded window, exactly the
+// classic single-simulator schedule. .WithSimThreads(n >= 1) (or the
+// --sim-threads=N flag) on a multi-device ZNS testbed gives device d its
+// own lane 1 + d with its host stack; lane 0 keeps the host side
+// (StripedStack over MailboxStack proxies, ResilientStack, workload
+// workers that cannot shard), and workers whose zones all live on one
+// device run inside that device's lane against a StripeLaneView
+// (hostif/lane_stacks.h). Output — results, trace, timeline, metrics —
+// is byte-identical for every n >= 1.
+//
+// Faults (DESIGN.md §8): every device owns its fault plan, seeded
+// seed + 0x9E3779B97F4A7C15 * d, whatever the lane layout.
 #pragma once
 
 #include <cstdint>
@@ -95,14 +101,15 @@ class Testbed {
   Testbed& operator=(Testbed&&) = default;
   ~Testbed();
 
-  /// The host-side simulator: the only one in classic mode, the
-  /// coordinator lane under the parallel engine.
-  sim::Simulator& sim() { return psim_ != nullptr ? psim_->lane(0) : *sim_; }
+  /// The host-side simulator: lane 0 of the testbed's engine.
+  sim::Simulator& sim() { return psim_->lane(0); }
   hostif::Stack& stack() { return *stack_; }
-  /// The parallel engine; null in classic (single-simulator) mode.
-  sim::ParallelSimulator* parallel_sim() { return psim_.get(); }
+  /// The parallel engine; null when the testbed has one lane.
+  sim::ParallelSimulator* parallel_sim() {
+    return lanes_.size() > 1 ? psim_.get() : nullptr;
+  }
   /// Resolved worker-thread count for the parallel engine (>= 1), or 0
-  /// in classic mode.
+  /// when the testbed has one lane.
   int sim_threads() const { return sim_threads_; }
   /// Device 0 as its generic NVMe face (the only device unless
   /// WithDevices(n > 1) was used).
@@ -121,28 +128,20 @@ class Testbed {
   /// (scheduler stats live here).
   hostif::KernelStack* kernel() { return kernel_; }
   /// Null when telemetry is disabled.
-  telemetry::Telemetry* telemetry() { return telem_.get(); }
-  /// The periodic timeline sampler; null unless a timeline is configured
-  /// (TelemetryConfig::timeline_* or the --timeline flag).
-  telemetry::MetricSampler* sampler() { return sampler_.get(); }
-  /// The injected fault plan; null when faults are disabled. Under the
-  /// parallel engine faults are per-device plans instead (a shared plan's
-  /// RNG would race across lanes) — this stays null; see lane_faults().
-  fault::FaultPlan* faults() { return faults_.get(); }
-  /// Device d's private fault plan (parallel mode with faults enabled;
-  /// null otherwise).
-  fault::FaultPlan* lane_faults(std::size_t d) {
-    return d < lane_faults_.size() ? lane_faults_[d].get() : nullptr;
+  telemetry::Telemetry* telemetry() { return lanes_.front().telem.get(); }
+  /// Lane 0's periodic timeline sampler; null unless a timeline is
+  /// configured (TelemetryConfig::timeline_* or the --timeline flag).
+  telemetry::MetricSampler* sampler() { return lanes_.front().sampler.get(); }
+  /// Device 0's fault plan; null when faults are disabled. Each device
+  /// owns one plan; the "fault." metrics sum them.
+  fault::FaultPlan* faults() {
+    return faults_.empty() ? nullptr : faults_.front().get();
   }
-  /// Device d's lane-side view of the logical namespace (parallel mode
-  /// only; null otherwise). Sharded workload workers submit here.
+  /// Device d's lane-side view of the logical namespace (only when
+  /// device d has a lane of its own; null otherwise). Sharded workload
+  /// workers submit here.
   hostif::StripeLaneView* lane_view(std::size_t d) {
-    return d < lane_views_.size() ? lane_views_[d].get() : nullptr;
-  }
-  /// Device d's lane-local telemetry bundle (parallel mode with
-  /// telemetry; null otherwise).
-  telemetry::Telemetry* lane_telemetry(std::size_t d) {
-    return d < lane_telems_.size() ? lane_telems_[d].get() : nullptr;
+    return 1 + d < lanes_.size() ? lanes_[1 + d].view.get() : nullptr;
   }
   /// The host retry layer; null unless faults or WithRetryPolicy enabled
   /// it. When non-null, stack() IS this wrapper.
@@ -200,29 +199,62 @@ class Testbed {
   friend class TestbedBuilder;
   Testbed() = default;
 
-  // Member order is destruction order in reverse: simulators outlive
-  // telemetry, telemetry outlives devices, devices outlive the stacks
-  // built over them, stacks outlive the views built over *them*.
-  std::unique_ptr<sim::Simulator> sim_;  // null under the parallel engine
-  std::unique_ptr<sim::ParallelSimulator> psim_;  // null in classic mode
-  /// In parallel mode, the real (file/ring/shared) sink and timeline
-  /// that lane shards replay into at Finish; the bundles themselves hold
-  /// per-lane ShardSinks / capture writers during the run.
+  /// Raw pointers to counter-bearing layers. The layers are all
+  /// heap-allocated, so these stay valid across Testbed moves — which is
+  /// why a sampler's refresh closure copies its lane's Layers and never
+  /// captures `this` (a moved-from Testbed would dangle).
+  struct Layers {
+    std::vector<zns::ZnsDevice*> zns;
+    std::vector<fault::FaultPlan*> faults;
+    /// Folded into the striping layer's stats when both are present.
+    std::vector<const hostif::StripeLaneView*> views;
+    ftl::ConvDevice* conv = nullptr;
+    hostif::KernelStack* kernel = nullptr;
+    hostif::StripedStack* striped = nullptr;
+    hostif::ResilientStack* resilient = nullptr;
+
+    /// Batch-exports every layer's counters into `m`. Several devices
+    /// export field-wise sums under the usual "zns."/"nand." names;
+    /// `per_lane` (a timeline on a striped testbed) adds `laneN.zns.*`
+    /// so timeline samples can attribute throughput to stripe lanes.
+    void Describe(telemetry::MetricsRegistry& m, bool per_lane) const;
+  };
+
+  /// One simulation lane: the layers that live in it and the telemetry
+  /// they report into. Lane 0 holds the host side, and every device when
+  /// the testbed has one lane; lane 1 + d otherwise holds device d.
+  struct Lane {
+    Layers layers;
+    /// Lane 0's is the testbed's bundle; the others exist only with
+    /// telemetry on and are folded into lane 0's at Finish.
+    std::unique_ptr<telemetry::Telemetry> telem;
+    /// With two or more lanes, each lane buffers its trace events and
+    /// timeline records here (owned by `telem` / heap-allocated so the
+    /// writer's pointer survives Testbed moves); Finish replays them
+    /// into the real outputs in lane order.
+    telemetry::ShardSink* shard = nullptr;
+    std::unique_ptr<std::string> tl_capture;
+    std::unique_ptr<telemetry::MetricSampler> sampler;
+    /// Device lanes only: the device's host stack (lane 0 reaches it
+    /// through a MailboxStack) and the view sharded workers submit to.
+    std::unique_ptr<hostif::Stack> stack;
+    std::unique_ptr<hostif::StripeLaneView> view;
+  };
+
+  // Member order is destruction order in reverse: the engine outlives
+  // the lanes, whose telemetry outlives the devices and stacks attached
+  // to it. Stacks and views only hold references they never use while
+  // being destroyed.
+  std::unique_ptr<sim::ParallelSimulator> psim_;
+  /// With two or more lanes, the real (file/ring/shared) sink and
+  /// timeline that the lanes' buffers replay into at Finish.
   std::unique_ptr<telemetry::TraceSink> final_sink_owned_;
   std::unique_ptr<telemetry::TimelineWriter> final_timeline_owned_;
   telemetry::TraceSink* final_sink_ = nullptr;
   telemetry::TimelineWriter* final_timeline_ = nullptr;
-  /// Capture targets for the per-lane timeline writers (heap-allocated so
-  /// the writers' pointers survive Testbed moves). [0] = coordinator.
-  std::vector<std::unique_ptr<std::string>> lane_tl_captures_;
-  std::unique_ptr<telemetry::Telemetry> telem_;
-  /// Per-device-lane telemetry bundles (parallel mode with telemetry).
-  std::vector<std::unique_ptr<telemetry::Telemetry>> lane_telems_;
-  std::unique_ptr<telemetry::MetricSampler> sampler_;
-  std::vector<std::unique_ptr<telemetry::MetricSampler>> lane_samplers_;
-  std::unique_ptr<fault::FaultPlan> faults_;
-  /// Per-device fault plans (parallel mode; faults_ stays null there).
-  std::vector<std::unique_ptr<fault::FaultPlan>> lane_faults_;
+  std::vector<Lane> lanes_;
+  /// One plan per device (empty when faults are disabled).
+  std::vector<std::unique_ptr<fault::FaultPlan>> faults_;
   /// The ZNS device set: exactly one unless built WithDevices(n > 1);
   /// empty for conventional testbeds.
   std::vector<std::unique_ptr<zns::ZnsDevice>> zns_devs_;
@@ -231,35 +263,30 @@ class Testbed {
   /// then); empty otherwise.
   std::unique_ptr<hostif::Stack> inner_stack_;
   std::unique_ptr<hostif::Stack> stack_;
-  /// Parallel mode: device d's real host stack (lives in lane d+1; the
-  /// coordinator's StripedStack holds MailboxStack proxies to these) and
-  /// the lane-side logical view sharded workers submit to.
-  std::vector<std::unique_ptr<hostif::Stack>> lane_stacks_;
-  std::vector<std::unique_ptr<hostif::StripeLaneView>> lane_views_;
+  /// The stripe map over the ZNS device set (one device: identity).
+  hostif::StripeMap map_;
   hostif::ResilientStack* resilient_ = nullptr;
   hostif::KernelStack* kernel_ = nullptr;
   hostif::StripedStack* striped_ = nullptr;  // owned via stack_/inner_stack_
-  telemetry::RingBufferSink* ring_ = nullptr;  // owned by telem_ (classic)
+  telemetry::RingBufferSink* ring_ = nullptr;  // owned by lane 0's telem
                                                // or final_sink_owned_
-  telemetry::ShardSink* coord_shard_ = nullptr;      // owned by telem_
-  std::vector<telemetry::ShardSink*> lane_shards_;   // owned by lane_telems_
   std::string label_;
   std::string metrics_path_;
   int sim_threads_ = 0;
-  bool lanes_merged_ = false;
   bool report_to_env_ = false;
   bool logpages_to_env_ = false;
   bool finished_ = false;
 
-  /// The stripe map over the ZNS device set (one device: identity).
-  hostif::StripeMap ZnsStripeMap() const;
-  workload::JobResult RunSharded(const workload::JobSpec& spec);
+  /// The lane device d lives in.
+  std::uint32_t LaneOf(std::uint32_t d) const {
+    return lanes_.size() > 1 ? 1 + d : 0;
+  }
+  /// The union of every lane's layers, devices in index order.
+  Layers AllLayers() const;
   std::vector<std::unique_ptr<workload::Job>> StartSharded(
       const workload::JobSpec& spec);
   workload::JobResult JoinSharded(
       std::vector<std::unique_ptr<workload::Job>>& parts);
-  hostif::StripeStats CombinedStripeStats() const;
-  void MergeLaneTelemetry();
 };
 
 class TestbedBuilder {
@@ -269,9 +296,9 @@ class TestbedBuilder {
   /// Selects the conventional (device-side GC) device instead.
   TestbedBuilder& WithConvProfile(const ftl::ConvProfile& p);
   /// Builds n identical ZNS devices behind a hostif::StripedStack (n = 1,
-  /// the default, keeps the classic single-device wiring). Each device
-  /// gets its own host-stack lane and a distinct noise seed. Incompatible
-  /// with WithConvProfile.
+  /// the default, keeps the single-device wiring). Each device gets its
+  /// own host stack and a distinct noise seed. Incompatible with
+  /// WithConvProfile.
   TestbedBuilder& WithDevices(std::uint32_t n);
   TestbedBuilder& WithStack(StackChoice s);
   /// Namespace LBA format (ZNS only; the conventional model is 4 KiB).
@@ -282,19 +309,20 @@ class TestbedBuilder {
   /// Names this testbed's snapshot in shared metrics output.
   TestbedBuilder& WithLabel(std::string label);
   /// Injects media faults per `spec` (overrides the BenchEnv --faults
-  /// flag, which otherwise applies to every built testbed). The testbed
-  /// owns the FaultPlan. Also enables the host retry layer unless
+  /// flag, which otherwise applies to every built testbed). Each device
+  /// gets its own FaultPlan of this spec, device d's seeded
+  /// spec.seed + 0x9E3779B97F4A7C15 * d; the testbed owns them. Also enables the host retry layer unless
   /// WithRetryPolicy set one explicitly.
   TestbedBuilder& WithFaults(const fault::FaultSpec& spec);
   /// Wraps the host stack in a hostif::ResilientStack with this policy
   /// (retries, backoff, per-attempt timeout).
   TestbedBuilder& WithRetryPolicy(const hostif::RetryPolicy& policy);
-  /// Runs the simulation on the parallel per-device-lane engine with n
-  /// worker threads (n >= 1; n = 1 executes the identical window
-  /// schedule serially, so output is byte-identical for every n).
+  /// Gives each device its own lane and runs them on n worker threads
+  /// (n >= 1; n = 1 executes the identical window schedule serially, so
+  /// output is byte-identical for every n). n = 0 keeps one lane.
   /// Overrides the --sim-threads flag, which otherwise applies. Only
   /// effective on multi-device ZNS testbeds; single-device and
-  /// conventional testbeds always use the classic engine.
+  /// conventional testbeds always have one lane.
   TestbedBuilder& WithSimThreads(int n);
 
   Testbed Build();

@@ -1,8 +1,8 @@
 // The parallel engine's split of a striped namespace (DESIGN.md §12).
 //
-// Under ParallelSimulator the per-device host stacks live in per-device
-// lanes, so the classic StripedStack cannot call them directly — a
-// direct call would run device code on the coordinator's thread. Two
+// When devices have lanes of their own, their host stacks live there,
+// so StripedStack in lane 0 cannot call them directly — a direct call
+// would run device code on the coordinator's thread. Two
 // adapters reconnect the layers through lane mailboxes:
 //
 //  * MailboxStack — the coordinator-side proxy for one device's stack.
@@ -12,7 +12,7 @@
 //    against the real stack there, and the completion returns as a
 //    kReply that resumes the coordinator coroutine. Each direction
 //    charges one interconnect hop (the engine lookahead), so proxied
-//    commands observe 2×hop extra latency relative to the classic
+//    commands observe 2×hop extra latency relative to a same-lane
 //    direct call — the price of the conservative window protocol, paid
 //    only by traffic that actually crosses lanes.
 //
@@ -20,7 +20,7 @@
 //    workers. A worker whose zones all live on one device runs inside
 //    that device's lane and needs no cross-lane traffic at all; the
 //    view presents the *logical* (striped) namespace geometry so specs,
-//    zone slices and RNG streams are identical to the classic run, and
+//    zone slices and RNG streams are identical to the one-lane run, and
 //    translates logical↔device LBAs with the same StripeMap arithmetic
 //    StripedStack uses.
 #pragma once

@@ -1,11 +1,10 @@
 // The zone-granular RAID-0 address map shared by every striping layer.
 //
-// StripedStack (the classic single-simulator scale-out), MailboxStack
-// and StripeLaneView (the parallel-engine split of the same namespace),
-// and the Testbed's direct device access (zone prefill, aggregated zone
-// reports) must all agree on how logical zones land on devices —
-// extracting the arithmetic into one value type keeps them provably
-// consistent:
+// StripedStack (the scale-out router), StripeLaneView (the same
+// namespace seen from a device lane) and the Testbed's direct device
+// access (zone prefill, aggregated zone reports, shard planning) must
+// all agree on how logical zones land on devices — extracting the
+// arithmetic into one value type keeps them provably consistent:
 //
 //   logical zone z  ->  device z % N, device zone z / N
 #pragma once

@@ -465,14 +465,17 @@ sim::Task<> ZnsDevice::ProgramZonePage(std::uint32_t zone,
 
 void ZnsDevice::MarkProgrammed(std::uint32_t zone, std::uint64_t bytes) {
   const std::uint64_t pb = profile_.nand_geometry.page_bytes;
+  // A range ending mid-page programs that page too (reads go to NAND up
+  // to programmed_bytes), so the page cursor moves past it: later writes
+  // program from the next page on, and the rest of the partial page
+  // stays in the buffer.
+  const std::uint64_t pages = (bytes + pb - 1) / pb;
   zones_[zone].programmed_bytes = bytes;
-  next_program_page_[zone] = bytes / pb;
-  settled_prefix_pages_[zone] = bytes / pb;
+  next_program_page_[zone] = pages;
+  settled_prefix_pages_[zone] = pages;
   settled_oo_pages_[zone].clear();
   if (!flash_) return;
-  // A range ending mid-page marks that page too: reads go to NAND up to
-  // programmed_bytes.
-  ForEachZoneBlock(zone, (bytes + pb - 1) / pb,
+  ForEachZoneBlock(zone, pages,
                    [&](std::uint32_t die, std::uint32_t block,
                        std::uint32_t n) {
                      flash_->DebugProgramRange(die, block, n);
@@ -1232,7 +1235,9 @@ std::uint64_t ZnsDevice::CrashRollbackZone(std::uint32_t zone) {
   const std::uint64_t prefix = settled_prefix_pages_[zone];
   counters_.torn_pages += settled_oo_pages_[zone].size();
   settled_oo_pages_[zone].clear();
-  const std::uint64_t durable = prefix * pb;
+  // Programmed bytes fall below the prefix only after a mid-page fill
+  // (MarkProgrammed): its last page holds the fill's bytes, no more.
+  const std::uint64_t durable = std::min(prefix * pb, z.programmed_bytes);
   const std::uint64_t lost = z.wp_bytes > durable ? z.wp_bytes - durable : 0;
   // Discard the NAND tail of every zone block down to the durable prefix.
   ForEachZoneBlock(zone, prefix, [&](std::uint32_t die, std::uint32_t block,
@@ -1395,9 +1400,10 @@ void ZnsDevice::AuditZones() const {
     if (IsOpen(z.state)) ++open;
     if (IsActive(z.state)) ++active;
     if (!flash_) continue;
-    ZSTOR_CHECK_MSG(z.programmed_bytes / pb == next_program_page_[zone],
-                    "page cursor disagrees with the programmed bytes");
-    ForEachZoneBlock(zone, (z.programmed_bytes + pb - 1) / pb,
+    ZSTOR_CHECK_MSG(
+        (z.programmed_bytes + pb - 1) / pb == next_program_page_[zone],
+        "page cursor disagrees with the programmed bytes");
+    ForEachZoneBlock(zone, next_program_page_[zone],
                      [&](std::uint32_t die, std::uint32_t block,
                          std::uint32_t n) {
                        if (flash_->BlockRetired(die, block)) return;

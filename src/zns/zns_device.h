@@ -155,7 +155,8 @@ class ZnsDevice : public nvme::Controller {
   /// but no simulated I/O (see DESIGN.md §6 "Fill acceleration"). The zone
   /// must be Empty. A partially-filled zone becomes Closed (and consumes
   /// an active slot — callers must respect max_active); a full fill makes
-  /// it Full.
+  /// it Full. A fill ending mid NAND page programs that whole page; later
+  /// writes program from the next page on.
   void DebugFillZone(std::uint32_t zone, std::uint64_t bytes);
 
   /// Forces a zone into a degraded state (kReadOnly or kOffline only) so
@@ -166,8 +167,9 @@ class ZnsDevice : public nvme::Controller {
 
   /// CHECKs the zone invariants on a quiesced device (test tool; no
   /// virtual time): programmed_bytes <= wp_bytes, settled prefix <= page
-  /// cursor == programmed pages, every in-service NAND block holds the
-  /// pages the layout puts there (ForEachZoneBlock), the open/active
+  /// cursor == programmed pages (a partial page counts), every in-service
+  /// NAND block holds the pages below the cursor that the layout puts
+  /// there (ForEachZoneBlock), the open/active
   /// counts match a recount of the zone states, and every write-back
   /// buffer slot is free.
   void AuditZones() const;

@@ -140,6 +140,54 @@ TEST(TestbedParallel, ShardedAppendIsThreadCountInvariant) {
   ExpectSameOutcome(ref, RunAt(4, 4, ShardableAppendSpec), "threads=4");
 }
 
+/// A job that lists only worker 1 of two: the listed worker alone runs
+/// (its zone lives on device 1), whichever lane layout carries it.
+TEST(TestbedParallel, OnlyListedWorkersRunInEveryLaneLayout) {
+  auto worker1_only = [](Testbed& tb, std::uint32_t ndev) {
+    workload::JobSpec spec = ShardableAppendSpec(tb, ndev);
+    spec.worker_ids = {1};
+    return spec;
+  };
+  const RunOutcome one_lane = RunAt(0, 2, worker1_only);
+  EXPECT_GT(one_lane.result.ops, 0u);
+  EXPECT_EQ(one_lane.counters[0].appends, 0u);
+  EXPECT_GE(one_lane.counters[1].appends, one_lane.result.ops);
+  const RunOutcome lanes1 = RunAt(1, 2, worker1_only);
+  EXPECT_EQ(lanes1.result.ops, one_lane.result.ops);
+  EXPECT_EQ(lanes1.counters[0].appends, 0u);
+  EXPECT_EQ(lanes1.counters[1].appends, one_lane.counters[1].appends);
+  ExpectSameOutcome(lanes1, RunAt(2, 2, worker1_only), "threads=2");
+}
+
+/// Every device owns its fault plan, so a one-shot scheduled fault fires
+/// once per device in every lane layout.
+TEST(TestbedParallel, ScheduledFaultFiresOncePerDeviceInEveryLaneLayout) {
+  fault::FaultSpec fs;
+  std::string err;
+  ASSERT_TRUE(fault::ParseFaultSpec("sched=5000:prog:*:*", &fs, &err)) << err;
+  for (int threads : {0, 1, 2}) {
+    Testbed tb = TestbedBuilder()
+                     .WithZnsProfile(QuietTiny())
+                     .WithDevices(2)
+                     .WithTelemetry({})
+                     .WithFaults(fs)
+                     .WithSimThreads(threads)
+                     .Build();
+    tb.RunJob(ShardableAppendSpec(tb, 2));
+    const telemetry::Snapshot snap = tb.TakeSnapshot();
+    const auto* fired = snap.Find("fault.scheduled_fired");
+    ASSERT_NE(fired, nullptr) << "threads=" << threads;
+    EXPECT_EQ(fired->value, 2.0) << "threads=" << threads;
+    // faults() is device 0's plan.
+    EXPECT_EQ(tb.faults()->counters().scheduled_fired, 1u)
+        << "threads=" << threads;
+    for (std::uint32_t d = 0; d < 2; ++d) {
+      EXPECT_EQ(tb.zns(d)->counters().write_faults, 1u)
+          << "threads=" << threads << " d=" << d;
+    }
+  }
+}
+
 /// Random reads across every zone from every worker cannot shard (each
 /// worker touches all devices), so the job runs on the coordinator and
 /// every command crosses lanes through the MailboxStack proxies.

@@ -138,6 +138,27 @@ TEST(ZnsCrash, UnflushedTailIsDroppedAtPageGranularity) {
             wp_lbas == 0 ? ZoneState::kEmpty : ZoneState::kClosed);
 }
 
+TEST(ZnsCrash, MidPageFillSurvivesButLaterBufferedWritesDoNot) {
+  // A 4 KiB fill programs NAND page 0; a write ending inside page 1
+  // stays in the buffer and is lost, the fill is not.
+  Harness h(QuietTiny());
+  h.dev.DebugFillZone(0, 4096);
+  auto body = [&]() -> sim::Task<> {
+    nvme::Command w{.opcode = Opcode::kWrite,
+                    .slba = h.dev.ZoneStartLba(0) + 1,
+                    .nlb = LbasPerPage(h),
+                    .payload_tag = kTag};
+    ZSTOR_CHECK((co_await h.dev.Execute(w)).ok());
+    co_await h.dev.CrashNow();
+  };
+  auto t = body();
+  h.sim.Run();
+  EXPECT_EQ(h.dev.ZoneWrittenBytes(0), 4096u);
+  EXPECT_EQ(h.dev.counters().crash_lost_bytes, LbasPerPage(h) * 4096u);
+  EXPECT_EQ(h.dev.GetZoneState(0), ZoneState::kClosed);
+  h.dev.AuditZones();
+}
+
 TEST(ZnsCrash, PostRecoveryAppendsLandAtTheRecoveredWp) {
   Harness h(QuietTiny());
   const std::uint32_t upp = LbasPerPage(h);

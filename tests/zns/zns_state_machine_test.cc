@@ -2,6 +2,8 @@
 // write-pointer semantics of the ZNS command set.
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "zns_test_util.h"
 
 namespace zstor::zns {
@@ -328,6 +330,37 @@ TEST(ZnsStateMachine, DebugFillPartialConsumesActiveSlot) {
   EXPECT_EQ(h.dev.GetZoneState(0), ZoneState::kClosed);
   EXPECT_EQ(h.dev.active_zone_count(), 1u);
   h.dev.AuditZones();
+}
+
+TEST(ZnsStateMachine, WriteAfterMidPageDebugFillProgramsTheNextPage) {
+  // TinyProfile pages are 16 KiB, so a 4 KiB fill ends inside page 0.
+  Harness h(QuietTiny());
+  ASSERT_EQ(h.dev.profile().nand_geometry.page_bytes, 16u * 1024);
+  h.dev.DebugFillZone(0, 4096);
+  h.dev.AuditZones();
+  const nvme::Lba zslba = h.dev.ZoneStartLba(0);
+  // Ends inside page 1: nothing new to program yet.
+  EXPECT_TRUE(h.Run({.opcode = nvme::Opcode::kWrite,
+                     .slba = zslba + 1,
+                     .nlb = 4,
+                     .payload_tag = 100})
+                  .ok());
+  h.dev.AuditZones();
+  // Crosses into page 2: programs page 1, the page after the fill's.
+  EXPECT_TRUE(h.Run({.opcode = nvme::Opcode::kWrite,
+                     .slba = zslba + 5,
+                     .nlb = 4,
+                     .payload_tag = 104})
+                  .ok());
+  h.dev.AuditZones();
+  nvme::Completion r = h.Run({.opcode = nvme::Opcode::kRead,
+                              .slba = zslba + 1,
+                              .nlb = 8,
+                              .payload_tag = 1});
+  ASSERT_TRUE(r.ok());
+  EXPECT_EQ(r.payload_tags, (std::vector<std::uint64_t>{
+                                100, 101, 102, 103, 104, 105, 106, 107}));
+  EXPECT_EQ(h.dev.ZoneWrittenBytes(0), 9u * 4096);
 }
 
 TEST(ZnsStateMachine, NamespaceInfoMatchesProfile) {

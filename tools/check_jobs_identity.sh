@@ -7,7 +7,7 @@
 #     must produce byte-identical --json, --trace and --timeline output
 #     for every --sim-threads value >= 1 (N=1 runs the same bounded
 #     window schedule serially). Single-device benches pass trivially —
-#     they use the classic engine regardless of the flag.
+#     their testbeds keep one lane regardless of the flag.
 #
 # Usage:
 #

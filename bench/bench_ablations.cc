@@ -15,7 +15,7 @@
 #include "harness/gc_experiment.h"
 #include "harness/parallel.h"
 #include "harness/table.h"
-#include "hostif/spdk_stack.h"
+#include "hostif/host_stack.h"
 #include "workload/runner.h"
 #include "zns/zns_device.h"
 
@@ -30,7 +30,7 @@ double ReadP95UnderLoadMs(std::uint64_t buffer_bytes) {
   zns::ZnsProfile p = zns::Zn540Profile();
   p.write_buffer_bytes = buffer_bytes;
   zns::ZnsDevice dev(s, p);
-  hostif::SpdkStack stack(s, dev);
+  hostif::HostStack stack(s, dev);
   workload::JobSpec writer;
   writer.op = Opcode::kAppend;
   writer.request_bytes = 128 * 1024;
@@ -78,7 +78,7 @@ OpResult ConvOpSweep(double op_fraction) {
   p.gc_high_blocks = std::max(32u, spare / 2);
   ftl::ConvDevice dev(s, p);
   dev.DebugPrefill();
-  hostif::SpdkStack stack(s, dev);
+  hostif::HostStack stack(s, dev);
   workload::JobSpec writer;
   writer.op = Opcode::kWrite;
   writer.random = true;

@@ -622,14 +622,18 @@ Testbed TestbedBuilder::Build() {
     nvme::Controller& dev =
         tb.conv_ != nullptr ? static_cast<nvme::Controller&>(*tb.conv_)
                             : *tb.zns_devs_[d];
-    hostif::MadeStack made = hostif::MakeStack(stack_, tb.psim_->lane(l), dev);
-    if (num_devices_ == 1) tb.kernel_ = made.kernel;
+    auto own = std::make_unique<hostif::HostStack>(tb.psim_->lane(l), dev,
+                                                   stack_);
+    if (num_devices_ == 1 && (stack_ == StackChoice::kKernelNone ||
+                              stack_ == StackChoice::kKernelMq)) {
+      tb.kernel_ = own.get();
+    }
     if (l == 0) {
-      reach.push_back(std::move(made.stack));
+      reach.push_back(std::move(own));
       continue;
     }
     Testbed::Lane& lane = tb.lanes_[l];
-    lane.stack = std::move(made.stack);
+    lane.stack = std::move(own);
     reach.push_back(std::make_unique<hostif::MailboxStack>(
         *tb.psim_, /*host_lane=*/0, /*dev_lane=*/l, *lane.stack));
   }

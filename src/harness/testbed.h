@@ -46,11 +46,10 @@
 
 #include "fault/fault_plan.h"
 #include "ftl/conv_device.h"
-#include "hostif/kernel_stack.h"
+#include "hostif/host_stack.h"
 #include "hostif/lane_stacks.h"
 #include "hostif/resilient_stack.h"
 #include "hostif/stack.h"
-#include "hostif/stack_factory.h"
 #include "hostif/striped_stack.h"
 #include "nvme/log_page.h"
 #include "sim/parallel_sim.h"
@@ -124,9 +123,9 @@ class Testbed {
   ftl::ConvDevice* conv() { return conv_.get(); }
   /// The zone-striping layer; non-null only when WithDevices(n > 1).
   hostif::StripedStack* striped() { return striped_; }
-  /// Non-null only for StackChoice::kKernelMq on a single device
-  /// (scheduler stats live here).
-  hostif::KernelStack* kernel() { return kernel_; }
+  /// The host stack, non-null only for the kernel choices (kKernelNone,
+  /// kKernelMq) on a single device; scheduler stats live here.
+  hostif::HostStack* kernel() { return kernel_; }
   /// Null when telemetry is disabled.
   telemetry::Telemetry* telemetry() { return lanes_.front().telem.get(); }
   /// Lane 0's periodic timeline sampler; null unless a timeline is
@@ -209,7 +208,7 @@ class Testbed {
     /// Folded into the striping layer's stats when both are present.
     std::vector<const hostif::StripeLaneView*> views;
     ftl::ConvDevice* conv = nullptr;
-    hostif::KernelStack* kernel = nullptr;
+    hostif::HostStack* kernel = nullptr;
     hostif::StripedStack* striped = nullptr;
     hostif::ResilientStack* resilient = nullptr;
 
@@ -266,7 +265,7 @@ class Testbed {
   /// The stripe map over the ZNS device set (one device: identity).
   hostif::StripeMap map_;
   hostif::ResilientStack* resilient_ = nullptr;
-  hostif::KernelStack* kernel_ = nullptr;
+  hostif::HostStack* kernel_ = nullptr;
   hostif::StripedStack* striped_ = nullptr;  // owned via stack_/inner_stack_
   telemetry::RingBufferSink* ring_ = nullptr;  // owned by lane 0's telem
                                                // or final_sink_owned_

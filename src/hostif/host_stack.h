@@ -1,5 +1,9 @@
-// Kernel-like stack (io_uring with SQ polling) with an optional
-// mq-deadline scheduler.
+// HostStack: the one host stack, for every StackChoice.
+//
+// The paper's host stacks (§III-A) differ in two ways only (Obs. 2 and
+// Obs. 7): each pays its own per-command host cost, and mq-deadline
+// stages zoned writes per zone and merges them. So one class serves every
+// choice, and the choice picks a row of kStackCosts.
 //
 // mq-deadline semantics for zoned writes (as in the Linux block layer):
 // writes to a zone are staged per zone, contiguous staged writes are
@@ -10,9 +14,10 @@
 // rate).
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <deque>
-#include <memory>
+#include <iterator>
 #include <unordered_map>
 #include <vector>
 
@@ -24,7 +29,41 @@
 
 namespace zstor::hostif {
 
-enum class Scheduler { kNone, kMqDeadline };
+/// One stack choice's host-side behaviour.
+struct StackCosts {
+  /// Delays the command before it reaches the device.
+  sim::Time submit = 0;
+  /// Delays the caller after the device completes the command.
+  sim::Time complete = 0;
+  /// The I/O scheduler's per-command cost, paid on submission.
+  sim::Time scheduler = 0;
+  /// Zoned writes are staged per zone and merged (mq-deadline).
+  bool stage_zoned_writes = false;
+};
+
+/// Indexed by StackChoice. SPDK is calibrated so a 4 KiB write lands at
+/// the paper's 11.36 us (device-internal 10.35 us + ~1.01 us host);
+/// kernel-none at 12.62 us and mq-deadline 1.85 us above it (Obs. 2).
+/// psync is the blocking pread/pwrite path the paper's storage-API
+/// references measure as the slowest ([14], [82]): a full syscall round
+/// trip and the kernel block layer each way.
+inline constexpr StackCosts kStackCosts[] = {
+    /*kSpdk=*/{.submit = sim::Microseconds(0.6),
+               .complete = sim::Microseconds(0.41)},
+    /*kKernelNone=*/{.submit = sim::Microseconds(1.2),
+                     .complete = sim::Microseconds(1.07)},
+    /*kKernelMq=*/{.submit = sim::Microseconds(1.2),
+                   .complete = sim::Microseconds(1.07),
+                   .scheduler = sim::Microseconds(1.85),
+                   .stage_zoned_writes = true},
+    /*kPsync=*/{.submit = sim::Microseconds(2.6),
+                .complete = sim::Microseconds(2.3)},
+};
+static_assert(std::size(kStackCosts) ==
+              static_cast<std::size_t>(StackChoice::kPsync) + 1);
+
+/// The block layer's maximum merged-request size.
+inline constexpr std::uint64_t kMaxMergeBytes = 128 * 1024;
 
 struct SchedulerStats {
   std::uint64_t staged_writes = 0;     // writes that entered the scheduler
@@ -47,30 +86,17 @@ struct SchedulerStats {
   }
 };
 
-class KernelStack : public Stack {
+class HostStack : public Stack {
  public:
-  static constexpr HostCosts kDefaultCosts = {
-      .submit = sim::Microseconds(1.2), .complete = sim::Microseconds(1.07)};
-
-  KernelStack(sim::Simulator& s, nvme::Controller& ctrl, Scheduler sched,
-              std::uint32_t qp_depth = 4096, HostCosts costs = kDefaultCosts,
-              sim::Time scheduler_cost = sim::Microseconds(1.85),
-              std::uint64_t max_merge_bytes = 128 * 1024)
+  /// `qp_depth` bounds device-visible in-flight commands; workloads
+  /// normally control concurrency themselves, so the default is generous.
+  HostStack(sim::Simulator& s, nvme::Controller& ctrl,
+            StackChoice choice = StackChoice::kSpdk,
+            std::uint32_t qp_depth = 4096)
       : sim_(s),
         ctrl_(ctrl),
         qp_(s, ctrl, qp_depth),
-        sched_(sched),
-        costs_(costs),
-        scheduler_cost_(scheduler_cost),
-        max_merge_bytes_(max_merge_bytes) {}
-
-  KernelStack(sim::Simulator& s, nvme::Controller& ctrl, Scheduler sched,
-              const StackOptions& o)
-      : KernelStack(s, ctrl, sched, o.qp_depth,
-                    o.costs.value_or(kDefaultCosts), o.scheduler_cost,
-                    o.max_merge_bytes) {
-    if (o.telemetry != nullptr) AttachTelemetry(o.telemetry);
-  }
+        costs_(kStackCosts[static_cast<std::size_t>(choice)]) {}
 
   sim::Task<nvme::TimedCompletion> Submit(nvme::Command cmd) override {
     telemetry::Tracer* tr = trace();
@@ -78,18 +104,15 @@ class KernelStack : public Stack {
       cmd.trace_id = tr->NextId();
     }
     sim::Time start = sim_.now();
-    sim::Time overhead =
-        costs_.submit +
-        (sched_ == Scheduler::kMqDeadline ? scheduler_cost_ : 0);
-    co_await sim_.Delay(overhead);
+    co_await sim_.Delay(costs_.submit + costs_.scheduler);
     if (tr != nullptr) {
       tr->Span(start, sim_.now(), cmd.trace_id, telemetry::Layer::kHost,
                "host.submit", static_cast<std::int64_t>(cmd.opcode),
                static_cast<std::int64_t>(cmd.nlb));
     }
     nvme::TimedCompletion tc;
-    if (sched_ == Scheduler::kMqDeadline &&
-        cmd.opcode == nvme::Opcode::kWrite && info().zoned) {
+    if (costs_.stage_zoned_writes && cmd.opcode == nvme::Opcode::kWrite &&
+        info().zoned) {
       sim::Time staged_at = sim_.now();
       tc.completion = co_await StageZonedWrite(cmd);
       tc.trace_id = cmd.trace_id;
@@ -158,19 +181,25 @@ class KernelStack : public Stack {
     ZoneQueue& zq = zones_[zid];
     if (zq.in_flight || zq.staged.empty()) return;
     // Merge the longest contiguous run from the head, bounded by the
-    // block layer's maximum request size.
+    // block layer's maximum request size. The merged command carries the
+    // head's payload tag, which the device stores as tag + i at LBA
+    // slba + i, so a tagged write joins only when its tag continues that
+    // sequence (and an untagged one only an untagged batch).
     std::vector<Request*> batch;
     batch.push_back(zq.staged.front());
     zq.staged.pop_front();
+    const nvme::Command& head = batch[0]->cmd;
     const std::uint32_t lba_bytes = info().format.lba_bytes;
-    nvme::Lba end = batch[0]->cmd.slba + batch[0]->cmd.nlb;
-    std::uint64_t bytes =
-        static_cast<std::uint64_t>(batch[0]->cmd.nlb) * lba_bytes;
+    nvme::Lba end = head.slba + head.nlb;
+    std::uint64_t bytes = static_cast<std::uint64_t>(head.nlb) * lba_bytes;
     while (!zq.staged.empty()) {
       Request& next = *zq.staged.front();
       std::uint64_t next_bytes =
           static_cast<std::uint64_t>(next.cmd.nlb) * lba_bytes;
-      if (next.cmd.slba != end || bytes + next_bytes > max_merge_bytes_) {
+      const std::uint64_t tag_wanted =
+          head.payload_tag == 0 ? 0 : head.payload_tag + (end - head.slba);
+      if (next.cmd.slba != end || bytes + next_bytes > kMaxMergeBytes ||
+          next.cmd.payload_tag != tag_wanted) {
         break;
       }
       end += next.cmd.nlb;
@@ -210,10 +239,7 @@ class KernelStack : public Stack {
   sim::Simulator& sim_;
   nvme::Controller& ctrl_;
   nvme::QueuePair qp_;
-  Scheduler sched_;
-  HostCosts costs_;
-  sim::Time scheduler_cost_;
-  std::uint64_t max_merge_bytes_;
+  StackCosts costs_;
   std::unordered_map<std::uint32_t, ZoneQueue> zones_;
   SchedulerStats sched_stats_;
 };

@@ -7,10 +7,11 @@
 //     scheduler or mq-deadline. mq-deadline buffers writes per zone,
 //     merges contiguous ones and dispatches them serially — the mechanism
 //     behind Obs. 7's 293 KIOPS intra-zone write throughput.
+// A fourth choice, blocking psync, is the slowest path of the paper's
+// storage-API references. HostStack (host_stack.h) implements all four.
 #pragma once
 
 #include <cstdint>
-#include <optional>
 
 #include "nvme/queue_pair.h"
 #include "nvme/types.h"
@@ -19,13 +20,6 @@
 #include "telemetry/telemetry.h"
 
 namespace zstor::hostif {
-
-/// Per-command host-side costs. Submission cost delays the command before
-/// it reaches the device; completion cost delays the caller after it.
-struct HostCosts {
-  sim::Time submit = 0;
-  sim::Time complete = 0;
-};
 
 /// Which host software stack services submissions (§III-A, plus the
 /// blocking psync path of the paper's storage-API references).
@@ -40,25 +34,6 @@ constexpr const char* ToString(StackChoice k) {
   }
   return "?";
 }
-
-/// Everything a concrete stack's constructor used to take positionally,
-/// collapsed into one options struct shared by all stacks (and by the
-/// MakeStack factory in stack_factory.h). Defaults reproduce each stack's
-/// calibrated behavior.
-struct StackOptions {
-  /// Queue-pair depth: the device-visible in-flight bound, per device.
-  std::uint32_t qp_depth = 4096;
-  /// Per-command host costs; unset = the stack kind's calibrated default
-  /// (e.g. SpdkStack::kDefaultCosts).
-  std::optional<HostCosts> costs;
-  /// mq-deadline only: per-command scheduler cost and the block layer's
-  /// maximum merged-request size.
-  sim::Time scheduler_cost = sim::Microseconds(1.85);
-  std::uint64_t max_merge_bytes = 128 * 1024;
-  /// Attached to the stack (and its queue pair) on construction when
-  /// non-null; equivalent to calling AttachTelemetry afterwards.
-  telemetry::Telemetry* telemetry = nullptr;
-};
 
 /// A host I/O stack. Latency reported by TimedCompletion spans host
 /// submission through host completion (the application-observed latency).

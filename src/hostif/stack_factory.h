@@ -1,61 +1,27 @@
-// MakeStack: the one place a StackChoice becomes a concrete host stack.
+// MakeStack: a StackChoice as an owned, type-erased host stack.
 //
-// Before this factory existed, the switch over StackChoice was duplicated
-// in the Testbed builder, the integration tests, and anything else that
-// wanted "a stack of kind K" — each copy repeating the same constructor
-// plumbing. Callers now say what they want (a choice + options) instead of
-// how to build it:
-//
-//   auto made = hostif::MakeStack(StackChoice::kKernelMq, sim, dev,
-//                                 {.qp_depth = 64});
-//   made.kernel->scheduler_stats();   // non-null for kernel choices
+//   auto made = hostif::MakeStack(StackChoice::kKernelMq, sim, dev);
+//   co_await made.stack->Submit(cmd);
 #pragma once
 
+#include <cstdint>
 #include <memory>
 
-#include "hostif/kernel_stack.h"
-#include "hostif/psync_stack.h"
-#include "hostif/spdk_stack.h"
+#include "hostif/host_stack.h"
 #include "hostif/stack.h"
 #include "nvme/controller.h"
 #include "sim/simulator.h"
 
 namespace zstor::hostif {
 
-/// A freshly built stack plus its concrete-typed side doors. `kernel` is
-/// non-null for the kernel choices (scheduler stats live there).
 struct MadeStack {
   std::unique_ptr<Stack> stack;
-  KernelStack* kernel = nullptr;
 };
 
 inline MadeStack MakeStack(StackChoice choice, sim::Simulator& sim,
                            nvme::Controller& ctrl,
-                           const StackOptions& opts = {}) {
-  MadeStack out;
-  switch (choice) {
-    case StackChoice::kSpdk:
-      out.stack = std::make_unique<SpdkStack>(sim, ctrl, opts);
-      break;
-    case StackChoice::kPsync:
-      out.stack = std::make_unique<PsyncStack>(sim, ctrl, opts);
-      break;
-    case StackChoice::kKernelNone: {
-      auto k = std::make_unique<KernelStack>(sim, ctrl, Scheduler::kNone,
-                                             opts);
-      out.kernel = k.get();
-      out.stack = std::move(k);
-      break;
-    }
-    case StackChoice::kKernelMq: {
-      auto k = std::make_unique<KernelStack>(sim, ctrl,
-                                             Scheduler::kMqDeadline, opts);
-      out.kernel = k.get();
-      out.stack = std::move(k);
-      break;
-    }
-  }
-  return out;
+                           std::uint32_t qp_depth = 4096) {
+  return {std::make_unique<HostStack>(sim, ctrl, choice, qp_depth)};
 }
 
 }  // namespace zstor::hostif

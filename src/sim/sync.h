@@ -8,8 +8,8 @@
 //
 // WaitGroup and OneShotEvent only ever wake all their waiters at once, so
 // they keep them in a std::vector: an idle one allocates nothing (a
-// std::deque allocates its first node on construction). Semaphore and
-// Queue hand waiters out one at a time from the front and keep deques.
+// std::deque allocates its first node on construction). A Semaphore hands
+// waiters out one at a time from the front and keeps a deque.
 // A Semaphore waiter is an EventFn, so besides a coroutine it can be a
 // deferred start of a queued record (AcquireThen).
 #pragma once
@@ -17,8 +17,6 @@
 #include <coroutine>
 #include <cstdint>
 #include <deque>
-#include <map>
-#include <optional>
 #include <utility>
 #include <vector>
 
@@ -149,59 +147,6 @@ class OneShotEvent {
   Simulator& sim_;
   bool set_ = false;
   std::vector<std::coroutine_handle<>> waiters_;
-};
-
-/// Unbounded FIFO channel. Push never blocks; Pop suspends until an item
-/// is available. Items are handed to poppers in FIFO order.
-template <typename T>
-class Queue {
- public:
-  explicit Queue(Simulator& s) : sim_(s) {}
-  Queue(const Queue&) = delete;
-  Queue& operator=(const Queue&) = delete;
-
-  void Push(T item) {
-    if (!poppers_.empty()) {
-      PopAwaiter* p = poppers_.front();
-      poppers_.pop_front();
-      p->slot = std::move(item);
-      sim_.ResumeSoon(p->handle);
-    } else {
-      items_.push_back(std::move(item));
-    }
-  }
-
-  struct PopAwaiter {
-    Queue& q;
-    std::optional<T> slot;
-    std::coroutine_handle<> handle;
-
-    bool await_ready() {
-      if (q.items_.empty()) return false;
-      slot = std::move(q.items_.front());
-      q.items_.pop_front();
-      return true;
-    }
-    void await_suspend(std::coroutine_handle<> h) {
-      handle = h;
-      q.poppers_.push_back(this);
-    }
-    T await_resume() {
-      ZSTOR_CHECK(slot.has_value());
-      return std::move(*slot);
-    }
-  };
-
-  /// Suspends until an item arrives, then yields it.
-  PopAwaiter Pop() { return PopAwaiter{*this, std::nullopt, nullptr}; }
-
-  std::size_t size() const { return items_.size(); }
-  bool empty() const { return items_.empty(); }
-
- private:
-  Simulator& sim_;
-  std::deque<T> items_;
-  std::deque<PopAwaiter*> poppers_;
 };
 
 }  // namespace zstor::sim

@@ -11,7 +11,7 @@
 #include <vector>
 
 #include "ftl/conv_device.h"
-#include "hostif/spdk_stack.h"
+#include "hostif/host_stack.h"
 #include "sim/rng.h"
 #include "sim/task.h"
 
@@ -61,7 +61,7 @@ struct Fixture {
 
   sim::Simulator sim;
   ConvDevice dev;
-  hostif::SpdkStack stack;
+  hostif::HostStack stack;
 };
 
 /// One NAND page worth of mapping units (the program-batch granule).

@@ -6,7 +6,7 @@
 #include <vector>
 
 #include "ftl/conv_device.h"
-#include "hostif/spdk_stack.h"
+#include "hostif/host_stack.h"
 #include "sim/task.h"
 #include "workload/runner.h"
 
@@ -37,7 +37,7 @@ struct Fixture {
 
   sim::Simulator sim;
   ConvDevice dev;
-  hostif::SpdkStack stack;
+  hostif::HostStack stack;
 };
 
 TEST(ConvDevice, NamespaceIsNotZoned) {

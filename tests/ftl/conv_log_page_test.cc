@@ -7,7 +7,7 @@
 #include "ftl/conv_device.h"
 #include "sim/task.h"
 #include "workload/runner.h"
-#include "hostif/spdk_stack.h"
+#include "hostif/host_stack.h"
 #include "ztrace/json_value.h"
 
 namespace zstor::ftl {
@@ -19,7 +19,7 @@ using ztrace::JsonValue;
 TEST(ConvSmartLog, MirrorsCountersAndFlashActivity) {
   sim::Simulator sim;
   ConvDevice dev(sim, TinyConvProfile());
-  hostif::SpdkStack stack(sim, dev);
+  hostif::HostStack stack(sim, dev);
   auto body = [&]() -> sim::Task<> {
     for (int i = 0; i < 8; ++i) {
       auto w = co_await stack.Submit(
@@ -54,7 +54,7 @@ TEST(ConvSmartLog, ReportsGcActivityOnceItRuns) {
   sim::Simulator sim;
   ConvDevice dev(sim, TinyConvProfile());
   dev.DebugPrefill();
-  hostif::SpdkStack stack(sim, dev);
+  hostif::HostStack stack(sim, dev);
   workload::JobSpec spec;
   spec.op = Opcode::kWrite;
   spec.random = true;

@@ -4,7 +4,7 @@
 
 #include "ftl/conv_device.h"
 #include "zns/zns_device.h"
-#include "hostif/spdk_stack.h"
+#include "hostif/host_stack.h"
 #include "sim/task.h"
 #include "workload/runner.h"
 
@@ -34,7 +34,7 @@ struct Fixture {
 
   sim::Simulator sim;
   ConvDevice dev;
-  hostif::SpdkStack stack;
+  hostif::HostStack stack;
 };
 
 TEST(ConvTrim, DeallocateSucceedsAndCounts) {

@@ -4,8 +4,7 @@
 
 #include <vector>
 
-#include "hostif/kernel_stack.h"
-#include "hostif/spdk_stack.h"
+#include "hostif/host_stack.h"
 #include "sim/task.h"
 #include "zns/zns_device.h"
 
@@ -34,8 +33,7 @@ ZnsProfile QuietZn540() {
   return p;
 }
 
-template <typename StackT>
-Time MeasureSecondWrite(sim::Simulator& s, StackT& stack) {
+Time MeasureSecondWrite(sim::Simulator& s, HostStack& stack) {
   Time lat = 0;
   auto body = [&]() -> sim::Task<> {
     (void)co_await stack.Submit(
@@ -52,7 +50,7 @@ Time MeasureSecondWrite(sim::Simulator& s, StackT& stack) {
 TEST(SpdkStack, Write4kLatencyMatchesPaper) {
   sim::Simulator s;
   zns::ZnsDevice dev(s, QuietZn540());
-  SpdkStack stack(s, dev);
+  HostStack stack(s, dev);
   Time lat = MeasureSecondWrite(s, stack);
   // Obs. 2/4: SPDK 4 KiB write = 11.36 us.
   EXPECT_NEAR(ToMicroseconds(lat), 11.36, 0.15);
@@ -61,7 +59,7 @@ TEST(SpdkStack, Write4kLatencyMatchesPaper) {
 TEST(KernelStack, NoSchedulerWrite4kLatencyMatchesPaper) {
   sim::Simulator s;
   zns::ZnsDevice dev(s, QuietZn540());
-  KernelStack stack(s, dev, Scheduler::kNone);
+  HostStack stack(s, dev, StackChoice::kKernelNone);
   Time lat = MeasureSecondWrite(s, stack);
   // Obs. 2: kernel without a scheduler = 12.62 us.
   EXPECT_NEAR(ToMicroseconds(lat), 12.62, 0.15);
@@ -70,37 +68,16 @@ TEST(KernelStack, NoSchedulerWrite4kLatencyMatchesPaper) {
 TEST(KernelStack, MqDeadlineAddsSchedulerOverhead) {
   sim::Simulator s;
   zns::ZnsDevice dev(s, QuietZn540());
-  KernelStack stack(s, dev, Scheduler::kMqDeadline);
+  HostStack stack(s, dev, StackChoice::kKernelMq);
   Time lat = MeasureSecondWrite(s, stack);
   // Obs. 2: mq-deadline = 14.47 us (+1.85 us over no scheduler).
   EXPECT_NEAR(ToMicroseconds(lat), 14.47, 0.15);
 }
 
-TEST(KernelStack, SpdkIsTheFastestStack) {
-  // The Obs.-2 ordering: SPDK < kernel-none < kernel-mq-deadline.
-  auto measure = [](auto make_stack) {
-    sim::Simulator s;
-    zns::ZnsDevice dev(s, QuietZn540());
-    auto stack = make_stack(s, dev);
-    return MeasureSecondWrite(s, *stack);
-  };
-  Time spdk = measure([](auto& s, auto& d) {
-    return std::make_unique<SpdkStack>(s, d);
-  });
-  Time knone = measure([](auto& s, auto& d) {
-    return std::make_unique<KernelStack>(s, d, Scheduler::kNone);
-  });
-  Time kmq = measure([](auto& s, auto& d) {
-    return std::make_unique<KernelStack>(s, d, Scheduler::kMqDeadline);
-  });
-  EXPECT_LT(spdk, knone);
-  EXPECT_LT(knone, kmq);
-}
-
 TEST(KernelStack, MqDeadlineMergesContiguousZoneWrites) {
   sim::Simulator s;
   zns::ZnsDevice dev(s, Quiet());
-  KernelStack stack(s, dev, Scheduler::kMqDeadline);
+  HostStack stack(s, dev, StackChoice::kKernelMq);
   // 16 concurrent sequential 4 KiB writes to one zone.
   auto w = [&](nvme::Lba slba) -> sim::Task<> {
     auto tc = co_await stack.Submit(
@@ -122,26 +99,28 @@ TEST(KernelStack, MqDeadlineMergesContiguousZoneWrites) {
 TEST(KernelStack, MergeRespectsMaxRequestSize) {
   sim::Simulator s;
   zns::ZnsDevice dev(s, Quiet());
-  KernelStack stack(s, dev, Scheduler::kMqDeadline, 4096,
-                    HostCosts{.submit = sim::Microseconds(1.2),
-                              .complete = sim::Microseconds(1.07)},
-                    sim::Microseconds(1.85),
-                    /*max_merge_bytes=*/16 * 1024);
+  HostStack stack(s, dev, StackChoice::kKernelMq);
+  const std::uint32_t per_write = 16 * 1024;
+  const auto nlb = static_cast<std::uint32_t>(
+      per_write / dev.info().format.lba_bytes);
   // Block the zone with a first in-flight write, then stage 16 more.
   auto w = [&](nvme::Lba slba) -> sim::Task<> {
     (void)co_await stack.Submit(
-        {.opcode = nvme::Opcode::kWrite, .slba = slba, .nlb = 1});
+        {.opcode = nvme::Opcode::kWrite, .slba = slba, .nlb = nlb});
   };
-  for (nvme::Lba i = 0; i < 17; ++i) sim::Spawn(w(i));
+  for (nvme::Lba i = 0; i < 17; ++i) sim::Spawn(w(i * nlb));
   s.Run();
-  // 1 + ceil(16 / 4): batches capped at 16 KiB = 4 LBAs.
-  EXPECT_GE(stack.scheduler_stats().dispatched_writes, 5u);
+  // 1 + ceil(16 / 8): batches capped at 128 KiB = 8 writes of 16 KiB.
+  static_assert(kMaxMergeBytes == 8 * 16 * 1024);
+  EXPECT_EQ(stack.scheduler_stats().dispatched_writes, 3u);
+  EXPECT_EQ(stack.scheduler_stats().merged_writes, 14u);
+  EXPECT_EQ(dev.ZoneWrittenBytes(0), 17u * per_write);
 }
 
 TEST(KernelStack, NonContiguousWritesDoNotMerge) {
   sim::Simulator s;
   zns::ZnsDevice dev(s, Quiet());
-  KernelStack stack(s, dev, Scheduler::kMqDeadline);
+  HostStack stack(s, dev, StackChoice::kKernelMq);
   std::vector<nvme::Status> results;
   // Two writes to DIFFERENT zones: separate queues, no merging.
   auto w = [&](nvme::Lba slba) -> sim::Task<> {
@@ -158,12 +137,53 @@ TEST(KernelStack, NonContiguousWritesDoNotMerge) {
   for (auto st : results) EXPECT_EQ(st, nvme::Status::kSuccess);
 }
 
+TEST(HostStack, MqDeadlineMergeKeepsEachWritesTags) {
+  // The device stores tag + i at LBA slba + i of a tagged write, and a
+  // merged request carries the head write's tag: a write joins a batch
+  // only when its own tags continue the head's.
+  auto run = [](std::vector<std::uint64_t> tags) {
+    sim::Simulator s;
+    zns::ZnsDevice dev(s, Quiet());
+    HostStack stack(s, dev, StackChoice::kKernelMq);
+    auto w = [&](nvme::Lba slba) -> sim::Task<> {
+      auto tc = co_await stack.Submit({.opcode = nvme::Opcode::kWrite,
+                                       .slba = slba,
+                                       .nlb = 1,
+                                       .payload_tag = tags[slba]});
+      ZSTOR_CHECK(tc.completion.ok());
+    };
+    for (nvme::Lba i = 0; i < tags.size(); ++i) sim::Spawn(w(i));
+    s.Run();
+    std::vector<std::uint64_t> got;
+    auto read = [&]() -> sim::Task<> {
+      auto tc = co_await stack.Submit(
+          {.opcode = nvme::Opcode::kRead,
+           .slba = 0,
+           .nlb = static_cast<std::uint32_t>(tags.size()),
+           .payload_tag = 1});
+      got = tc.completion.payload_tags;
+    };
+    auto t = read();
+    s.Run();
+    return std::make_pair(got, stack.scheduler_stats().merged_writes);
+  };
+  const std::vector<std::uint64_t> apart = {1000, 2000, 3000, 4000};
+  auto [got_apart, merged_apart] = run(apart);
+  EXPECT_EQ(got_apart, apart);
+  EXPECT_EQ(merged_apart, 0u);
+  // Tags that continue one another still merge.
+  const std::vector<std::uint64_t> runs_on = {1000, 1001, 1002, 1003};
+  auto [got_runs_on, merged_runs_on] = run(runs_on);
+  EXPECT_EQ(got_runs_on, runs_on);
+  EXPECT_GT(merged_runs_on, 0u);
+}
+
 TEST(KernelStack, MqDeadlineAllowsDeepQueueOnOneZone) {
   // The paper: "Applications can, hence, issue multiple write operations
   // to a single zone" with mq-deadline. QD32 sequential writes all land.
   sim::Simulator s;
   zns::ZnsDevice dev(s, Quiet());
-  KernelStack stack(s, dev, Scheduler::kMqDeadline);
+  HostStack stack(s, dev, StackChoice::kKernelMq);
   int ok = 0;
   auto w = [&](nvme::Lba slba) -> sim::Task<> {
     auto tc = co_await stack.Submit(
@@ -178,7 +198,7 @@ TEST(KernelStack, MqDeadlineAllowsDeepQueueOnOneZone) {
 TEST(SpdkStack, PassesThroughAppendsAndMgmt) {
   sim::Simulator s;
   zns::ZnsDevice dev(s, Quiet());
-  SpdkStack stack(s, dev);
+  HostStack stack(s, dev);
   auto body = [&]() -> sim::Task<> {
     auto a = co_await stack.Submit(
         {.opcode = nvme::Opcode::kAppend, .slba = 0, .nlb = 2});

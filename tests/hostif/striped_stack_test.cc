@@ -9,7 +9,7 @@
 #include <utility>
 #include <vector>
 
-#include "hostif/stack_factory.h"
+#include "hostif/host_stack.h"
 #include "hostif/striped_stack.h"
 #include "sim/task.h"
 #include "zns/zns_device.h"
@@ -29,12 +29,13 @@ zns::ZnsProfile Quiet() {
 
 /// N quiet Tiny devices, each behind its own SPDK lane, striped.
 struct Rig {
-  explicit Rig(std::size_t n, StackOptions opts = {}) {
+  explicit Rig(std::size_t n, std::uint32_t qp_depth = 4096) {
     std::vector<std::unique_ptr<Stack>> lanes;
     for (std::size_t d = 0; d < n; ++d) {
       devs.push_back(std::make_unique<zns::ZnsDevice>(sim, Quiet()));
-      lanes.push_back(
-          MakeStack(StackChoice::kSpdk, sim, *devs.back(), opts).stack);
+      lanes.push_back(std::make_unique<HostStack>(sim, *devs.back(),
+                                                  StackChoice::kSpdk,
+                                                  qp_depth));
     }
     stack = std::make_unique<StripedStack>(sim, std::move(lanes));
   }
@@ -159,10 +160,8 @@ TEST(StripedStack, AppendResultLbaIsTranslatedToLogicalSpace) {
 TEST(StripedStack, QueuePairBoundsArePerDevice) {
   // With qp_depth = 1 per lane, two concurrent reads serialize when they
   // map to the same device and overlap when they map to different ones.
-  StackOptions opts;
-  opts.qp_depth = 1;
   auto makespan = [&](std::uint32_t lz_a, std::uint32_t lz_b) {
-    Rig r(2, opts);
+    Rig r(2, /*qp_depth=*/1);
     for (auto& dev : r.devs) {
       dev->DebugFillZone(0, dev->profile().zone_cap_bytes);
       dev->DebugFillZone(1, dev->profile().zone_cap_bytes);

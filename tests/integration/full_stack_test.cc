@@ -14,21 +14,21 @@
 namespace zstor {
 namespace {
 
-using StackId = hostif::StackChoice;
+using hostif::StackChoice;
 enum class DeviceId { kZns, kConv };
 
 struct Param {
-  StackId stack;
+  StackChoice stack;
   DeviceId device;
 };
 
 std::string Name(const ::testing::TestParamInfo<Param>& info) {
   std::string s;
   switch (info.param.stack) {
-    case StackId::kSpdk: s = "spdk"; break;
-    case StackId::kKernelNone: s = "kernel"; break;
-    case StackId::kKernelMq: s = "mq"; break;
-    case StackId::kPsync: s = "psync"; break;
+    case StackChoice::kSpdk: s = "spdk"; break;
+    case StackChoice::kKernelNone: s = "kernel"; break;
+    case StackChoice::kKernelMq: s = "mq"; break;
+    case StackChoice::kPsync: s = "psync"; break;
   }
   s += info.param.device == DeviceId::kZns ? "_zns" : "_conv";
   return s;
@@ -63,7 +63,7 @@ TEST_P(FullStackTest, WriteWorkloadRunsClean) {
   spec.op = nvme::Opcode::kWrite;
   spec.random = GetParam().device == DeviceId::kConv;
   spec.zones = {0, 1};
-  spec.queue_depth = GetParam().stack == StackId::kKernelMq ? 8 : 1;
+  spec.queue_depth = GetParam().stack == StackChoice::kKernelMq ? 8 : 1;
   spec.request_bytes = 16 * 1024;
   spec.duration = sim::Milliseconds(30);
   auto r = workload::RunJob(sim_, *stack_, spec);
@@ -116,19 +116,19 @@ TEST_P(FullStackTest, MixedWorkloadSplitsDirections) {
 
 INSTANTIATE_TEST_SUITE_P(
     AllCombos, FullStackTest,
-    ::testing::Values(Param{StackId::kSpdk, DeviceId::kZns},
-                      Param{StackId::kKernelNone, DeviceId::kZns},
-                      Param{StackId::kKernelMq, DeviceId::kZns},
-                      Param{StackId::kPsync, DeviceId::kZns},
-                      Param{StackId::kSpdk, DeviceId::kConv},
-                      Param{StackId::kKernelNone, DeviceId::kConv},
-                      Param{StackId::kKernelMq, DeviceId::kConv},
-                      Param{StackId::kPsync, DeviceId::kConv}),
+    ::testing::Values(Param{StackChoice::kSpdk, DeviceId::kZns},
+                      Param{StackChoice::kKernelNone, DeviceId::kZns},
+                      Param{StackChoice::kKernelMq, DeviceId::kZns},
+                      Param{StackChoice::kPsync, DeviceId::kZns},
+                      Param{StackChoice::kSpdk, DeviceId::kConv},
+                      Param{StackChoice::kKernelNone, DeviceId::kConv},
+                      Param{StackChoice::kKernelMq, DeviceId::kConv},
+                      Param{StackChoice::kPsync, DeviceId::kConv}),
     Name);
 
 TEST(StackOrdering, OverheadsFollowThePaper) {
   // SPDK < io_uring < io_uring+mq-deadline < psync (Obs. 2 + [14]/[82]).
-  auto write_us = [](StackId id) {
+  auto write_us = [](StackChoice id) {
     sim::Simulator s;
     zns::ZnsProfile p = zns::TinyProfile();
     p.io_sigma = 0;
@@ -146,13 +146,14 @@ TEST(StackOrdering, OverheadsFollowThePaper) {
     s.Run();
     return sim::ToMicroseconds(lat);
   };
-  double spdk = write_us(StackId::kSpdk);
-  double kernel = write_us(StackId::kKernelNone);
-  double mq = write_us(StackId::kKernelMq);
-  double psync = write_us(StackId::kPsync);
+  double spdk = write_us(StackChoice::kSpdk);
+  double kernel = write_us(StackChoice::kKernelNone);
+  double mq = write_us(StackChoice::kKernelMq);
+  double psync = write_us(StackChoice::kPsync);
   EXPECT_LT(spdk, kernel);
   EXPECT_LT(kernel, mq);
   EXPECT_LT(mq, psync);
+  EXPECT_NEAR(psync - spdk, 3.9, 1.2);  // ~4 us of syscall overhead
 }
 
 }  // namespace

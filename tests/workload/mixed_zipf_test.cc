@@ -5,9 +5,7 @@
 #include <map>
 
 #include "ftl/conv_device.h"
-#include "hostif/kernel_stack.h"
-#include "hostif/psync_stack.h"
-#include "hostif/spdk_stack.h"
+#include "hostif/host_stack.h"
 #include "workload/runner.h"
 #include "workload/zipf.h"
 #include "zns/zns_device.h"
@@ -53,7 +51,7 @@ TEST(MixedWorkload, ConventionalRandrwHitsTheRequestedMix) {
   sim::Simulator s;
   ftl::ConvDevice dev(s, ftl::TinyConvProfile());
   dev.DebugPrefill();
-  hostif::SpdkStack stack(s, dev);
+  hostif::HostStack stack(s, dev);
   JobSpec spec;
   spec.op = Opcode::kWrite;
   spec.random = true;
@@ -73,7 +71,7 @@ TEST(MixedWorkload, ReadsAreSlowerThanBufferedWrites) {
   sim::Simulator s;
   ftl::ConvDevice dev(s, ftl::TinyConvProfile());
   dev.DebugPrefill();
-  hostif::SpdkStack stack(s, dev);
+  hostif::HostStack stack(s, dev);
   JobSpec spec;
   spec.op = Opcode::kWrite;
   spec.random = true;
@@ -87,7 +85,7 @@ TEST(MixedWorkload, ReadsAreSlowerThanBufferedWrites) {
 TEST(MixedWorkload, ZonedAppendPlusReadWorks) {
   sim::Simulator s;
   zns::ZnsDevice dev(s, zns::TinyProfile());
-  hostif::SpdkStack stack(s, dev);
+  hostif::HostStack stack(s, dev);
   JobSpec spec;
   spec.op = Opcode::kAppend;
   spec.random = true;
@@ -112,7 +110,7 @@ TEST(MixedWorkload, ZipfianReadsFavorHotOffsets) {
     p.io_sigma = 0;
     zns::ZnsDevice dev(s, p);
     dev.DebugFillZone(0, dev.profile().zone_cap_bytes);
-    hostif::SpdkStack stack(s, dev);
+    hostif::HostStack stack(s, dev);
     JobSpec spec;
     spec.op = Opcode::kRead;
     spec.random = true;
@@ -134,45 +132,10 @@ TEST(MixedWorkload, ZipfianReadsFavorHotOffsets) {
   (void)distinct_pages;
 }
 
-TEST(PsyncStack, SlowestOfTheStacks) {
-  auto second_write_us = [](auto make_stack) {
-    sim::Simulator s;
-    zns::ZnsProfile p = zns::TinyProfile();
-    p.io_sigma = 0;
-    zns::ZnsDevice dev(s, p);
-    auto stack = make_stack(s, dev);
-    sim::Time lat = 0;
-    auto body = [&]() -> sim::Task<> {
-      (void)co_await stack->Submit(
-          {.opcode = Opcode::kWrite, .slba = 0, .nlb = 1});
-      auto tc = co_await stack->Submit(
-          {.opcode = Opcode::kWrite, .slba = 1, .nlb = 1});
-      lat = tc.latency();
-    };
-    auto t = body();
-    s.Run();
-    return sim::ToMicroseconds(lat);
-  };
-  double spdk = second_write_us([](auto& s, auto& d) {
-    return std::make_unique<hostif::SpdkStack>(s, d);
-  });
-  double psync = second_write_us([](auto& s, auto& d) {
-    return std::make_unique<hostif::PsyncStack>(s, d);
-  });
-  double kernel = second_write_us([](auto& s, auto& d) {
-    return std::make_unique<hostif::KernelStack>(
-        s, d, hostif::Scheduler::kNone);
-  });
-  // The [14]/[82] ordering: psync > io_uring > SPDK.
-  EXPECT_GT(psync, kernel);
-  EXPECT_GT(kernel, spdk);
-  EXPECT_NEAR(psync - spdk, 3.9, 1.2);  // ~4 us of syscall overhead
-}
-
 TEST(PsyncStack, MgmtCommandsPassThrough) {
   sim::Simulator s;
   zns::ZnsDevice dev(s, zns::TinyProfile());
-  hostif::PsyncStack stack(s, dev);
+  hostif::HostStack stack(s, dev, hostif::StackChoice::kPsync);
   JobSpec spec;
   spec.op = Opcode::kZoneMgmtSend;
   spec.zone_action = nvme::ZoneAction::kReset;

@@ -2,14 +2,14 @@
 // statistics windows — on the Tiny device so they run instantly.
 #include <gtest/gtest.h>
 
-#include "hostif/spdk_stack.h"
+#include "hostif/host_stack.h"
 #include "workload/runner.h"
 #include "zns/zns_device.h"
 
 namespace zstor::workload {
 namespace {
 
-using hostif::SpdkStack;
+using hostif::HostStack;
 using nvme::Opcode;
 using zns::ZnsProfile;
 
@@ -27,7 +27,7 @@ struct Fixture {
 
   sim::Simulator sim;
   zns::ZnsDevice dev;
-  SpdkStack stack;
+  HostStack stack;
 };
 
 TEST(Runner, SequentialWriteJobWritesExpectedBytes) {

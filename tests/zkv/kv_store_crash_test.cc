@@ -6,7 +6,7 @@
 #include <cstdint>
 
 #include "hostif/resilient_stack.h"
-#include "hostif/spdk_stack.h"
+#include "hostif/host_stack.h"
 #include "sim/rng.h"
 #include "sim/task.h"
 #include "zkv/kv_store.h"
@@ -50,7 +50,7 @@ struct Fixture {
 
   sim::Simulator sim;
   zns::ZnsDevice dev;
-  hostif::SpdkStack inner;
+  hostif::HostStack inner;
   hostif::ResilientStack stack;
   KvStore kv;
 };

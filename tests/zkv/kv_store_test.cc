@@ -6,7 +6,7 @@
 #include <cstdint>
 #include <set>
 
-#include "hostif/spdk_stack.h"
+#include "hostif/host_stack.h"
 #include "sim/rng.h"
 #include "sim/task.h"
 #include "workload/zipf.h"
@@ -74,7 +74,7 @@ struct Fixture {
 
   sim::Simulator sim;
   zns::ZnsDevice dev;
-  hostif::SpdkStack stack;
+  hostif::HostStack stack;
   KvStore kv;
 };
 

@@ -40,6 +40,10 @@ explicit --tol rules, which take precedence by order):
     kv      bench_kv gates: the placement WA ratio keeps its floor,
             crash recovery stays corruption-free, throughput and read
             tails stay within drift bounds.
+    fig2    bench_fig2_latency gates: every host-stack latency series
+            (fig2*) matches the committed baseline to a relative 1e-6,
+            so the spdk / kernel-none / kernel-mq-deadline costs of
+            Obs. 2 stay fixed. meta.* stays ungated.
     fig6    bench_fig6_gc_interference gates: every virtual-time series
             (fig6*) matches the committed baseline to a relative 1e-6,
             and the process's peak resident memory (meta.peak_rss_mib)
@@ -87,6 +91,12 @@ PRESETS = {
         "kv_skew_kiops=0.25:down",
         "kv_interference_read_p99_us=0.5:up",
         "kv_crash_recovery_ms=0.5:both",
+    ),
+    # Fig. 2 (Obs. 1, 2, 4): the one bench that drives spdk, kernel-none
+    # and kernel-mq-deadline side by side; deterministic in virtual time,
+    # so a change to a host stack's costs or path shows up here.
+    "fig2": (
+        "fig2*=1e-6:both",
     ),
     # Fig. 6 (Obs. 11): the simulator is deterministic, so every
     # virtual-time series must reproduce the baseline to rounding; a
